@@ -9,8 +9,9 @@ which is a Thompson-metric contraction with ratio |1 - 1/alpha| for orders in
 drives Q_t to the minimizer of the weighted divergence objective; each sweep
 costs one eigendecomposition plus n trace pairings.
 
-The module also provides the commuting (vector) specialization, the dual-space
-iteration it coincides with, the multiplicative-update baseline, and entropic
+The commuting (vector) specialization runs through the same sweep as its
+diagonal case.  The module also provides the dual-space iteration the sweep
+coincides with, the multiplicative-update baseline, and entropic
 mirror descent with an adaptive step size as a reference method for orders
 without a contraction guarantee.
 """
@@ -18,7 +19,6 @@ without a contraction guarantee.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -30,16 +30,12 @@ from .divergences import (
     ClassicalAugustinProblem,
     classical_pairings,
     divergence_from_pairing,
+    objective_F,
     objective_f,
     pairing_traces,
+    weighted_divergence,
 )
-from .errors import (
-    DegenerateTrace,
-    DegenerateTraceWarning,
-    InvalidInput,
-    SingularMatrix,
-    Unsupported,
-)
+from .errors import DegenerateTrace, InvalidInput, SingularMatrix, Unsupported
 from .linalg import (
     EIG_FLOOR,
     hermitian_eig,
@@ -57,6 +53,8 @@ STOP_NON_FINITE = "NonFinite"
 DEFAULT_MAX_ITER = 200
 DEFAULT_RESIDUAL_TOL = 1e-10
 
+Problem = AugustinProblem | ClassicalAugustinProblem
+
 
 def contraction_factor(alpha: float) -> float:
     """The per-sweep Thompson contraction ratio |1 - 1/alpha|."""
@@ -67,25 +65,47 @@ def contraction_factor(alpha: float) -> float:
 # operator application
 # ---------------------------------------------------------------------------
 
+# One sweep kernel serves both forms.  A vector S is the diagonal case: it is
+# its own spectrum and its powers are element-wise (see _spectral_split).
 
-def _combination(problem: AugustinProblem, pairings: np.ndarray) -> np.ndarray:
+
+def _combination(problem: Problem, pairings: np.ndarray) -> np.ndarray:
     if np.any(pairings <= EIG_FLOOR):
         raise DegenerateTrace(
             f"trace pairing collapsed (min {pairings.min():.3e}); operator undefined"
         )
+    vector = isinstance(problem, ClassicalAugustinProblem)
     coeff = problem.weights / pairings
-    return np.tensordot(coeff, problem.state_powers, axes=1)
+    return np.tensordot(coeff, problem.point_powers if vector else problem.state_powers, axes=1)
 
 
-def _state_pairings(problem: AugustinProblem, u: np.ndarray) -> np.ndarray:
+def _pairings(problem: Problem, power: np.ndarray) -> np.ndarray:
+    """Tr[A_j^alpha P] for every j; for vectors, <a_j^alpha, p>."""
+    if isinstance(problem, ClassicalAugustinProblem):
+        return problem.point_powers @ power
     # Re Tr[A_j^alpha U] for every j; U Hermitian.
-    return np.real(np.einsum("nij,ji->n", problem.state_powers, u))
+    return np.real(np.einsum("nij,ji->n", problem.state_powers, power))
+
+
+def _spectral_split(problem: Problem, s: np.ndarray):
+    """Eigenvalues of S and the map back from values on them.  A vector is its
+    own spectrum; a matrix with an eigenvalue below the relative floor is refused."""
+    if isinstance(problem, ClassicalAugustinProblem):
+        return s, lambda values: values
+    spec = hermitian_eig(s)
+    lam = spec.eigenvalues
+    floor = EIG_FLOOR * max(float(lam.max()), 0.0)
+    if lam.min() <= floor:
+        raise SingularMatrix(
+            f"update combination is numerically singular (min eigenvalue {lam.min():.3e})"
+        )
+    return lam, spec.apply
 
 
 def apply_T_F(problem: AugustinProblem, u: np.ndarray) -> np.ndarray:
     """Apply the contraction operator to a positive definite matrix U."""
     u = hermitize(u)
-    s = _combination(problem, _state_pairings(problem, u))
+    s = _combination(problem, _pairings(problem, u))
     alpha = problem.order
     return matrix_power(s, (1.0 - alpha) / alpha)
 
@@ -95,12 +115,7 @@ def apply_T_f(problem: ClassicalAugustinProblem, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if not np.all(u > 0):
         raise InvalidInput("operator argument must be strictly positive")
-    pair = problem.point_powers @ u
-    if np.any(pair <= EIG_FLOOR):
-        raise DegenerateTrace(
-            f"pairing collapsed (min {pair.min():.3e}); operator undefined"
-        )
-    s = (problem.weights / pair) @ problem.point_powers
+    s = _combination(problem, _pairings(problem, u))
     alpha = problem.order
     return s ** ((1.0 - alpha) / alpha)
 
@@ -112,12 +127,12 @@ def apply_T_f(problem: ClassicalAugustinProblem, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IterateState:
-    """One iterate of the fixed-point sweep.
+    """One iterate of the fixed-point sweep, in either problem form.
 
-    ``matrix`` is the raw (possibly non-unit-trace) iterate Q_t, ``power``
-    its cached (1-alpha) power, ``pairings`` the vector Tr[A_j^alpha
-    Q_t^(1-alpha)], and ``f_value`` the objective at the trace-normalized
-    iterate.
+    ``matrix`` is the raw (possibly non-unit-trace) iterate Q_t (a positive
+    vector in the commuting form), ``power`` its cached (1-alpha) power,
+    ``pairings`` the vector Tr[A_j^alpha Q_t^(1-alpha)], and ``f_value`` the
+    objective at the trace-normalized iterate.
     """
 
     step: int
@@ -131,34 +146,40 @@ class IterateState:
     def normalized(self) -> np.ndarray:
         return self.matrix / self.trace
 
+    @property
+    def vector(self) -> np.ndarray:
+        """The iterate of the commuting form; the same array as ``matrix``."""
+        return self.matrix
 
-def _f_from_pairings(weights: np.ndarray, pairings: np.ndarray, alpha: float, trace: float) -> float:
+    @property
+    def total(self) -> float:
+        """The coordinate sum of the commuting form; the same as ``trace``."""
+        return self.trace
+
+
+def _iterate(
+    problem: Problem, step: int, q: np.ndarray, power: np.ndarray, trace: float
+) -> IterateState:
+    pair = _pairings(problem, power)
     # F(Q/trace) = sum_j w_j log(pairing_j) / (alpha-1) + log(trace)
-    total = 0.0
-    for wj, pj in zip(weights, pairings):
-        d = divergence_from_pairing(float(pj), alpha)
-        if d == INF:
-            return INF
-        total += wj * d
-    return total + math.log(trace)
+    f_value = weighted_divergence(problem.weights, pair, problem.order)
+    if f_value != INF:
+        f_value += math.log(trace)
+    return IterateState(step, q, power, pair, trace, f_value)
 
 
-def initial_state(problem: AugustinProblem, q1: np.ndarray) -> IterateState:
-    """Wrap a positive definite starting matrix as a step-0 iterate."""
+def initial_state(problem: Problem, q1: np.ndarray) -> IterateState:
+    """Wrap a positive definite starting matrix (a strictly positive vector
+    for a :class:`ClassicalAugustinProblem`) as a step-0 iterate."""
     alpha = problem.order
+    if isinstance(problem, ClassicalAugustinProblem):
+        q1 = np.asarray(q1, dtype=float)
+        if not np.all(q1 > 0):
+            raise InvalidInput("starting vector must be strictly positive")
+        return _iterate(problem, 0, q1, q1 ** (1.0 - alpha), float(q1.sum()))
     q1 = hermitize(q1)
-    spec = hermitian_eig(q1)
-    power = matrix_power(q1, 1.0 - alpha, spectrum=spec)
-    pair = _state_pairings(problem, power)
-    tr = float(np.trace(q1).real)
-    return IterateState(
-        step=0,
-        matrix=q1,
-        power=power,
-        pairings=pair,
-        trace=tr,
-        f_value=_f_from_pairings(problem.weights, pair, alpha, tr),
-    )
+    power = matrix_power(q1, 1.0 - alpha, spectrum=hermitian_eig(q1))
+    return _iterate(problem, 0, q1, power, float(np.trace(q1).real))
 
 
 def _renormalized(state: IterateState, alpha: float) -> IterateState:
@@ -176,108 +197,24 @@ def _renormalized(state: IterateState, alpha: float) -> IterateState:
     )
 
 
-def petz_augustin_step(problem: AugustinProblem, state: IterateState) -> IterateState:
+def petz_augustin_step(problem: Problem, state: IterateState) -> IterateState:
     """One fixed-point sweep Q -> T_F(Q^(1-alpha))^(1/(1-alpha)).
 
-    Costs one eigendecomposition plus n trace pairings; the new iterate's
-    (1-alpha) power and pairings are produced as by-products.
+    Costs one eigendecomposition plus n trace pairings (element-wise powers in
+    the commuting form); the new iterate's (1-alpha) power and pairings are
+    produced as by-products.
     """
     alpha = problem.order
-    s = _combination(problem, state.pairings)
-    spec = hermitian_eig(s)
-    lam = spec.eigenvalues
-    floor = EIG_FLOOR * max(float(lam.max()), 0.0)
-    if lam.min() <= floor:
-        raise SingularMatrix(
-            f"update combination is numerically singular (min eigenvalue {lam.min():.3e})"
-        )
+    lam, rebuild = _spectral_split(problem, _combination(problem, state.pairings))
     # T_F output is s^((1-alpha)/alpha); the iterate is its 1/(1-alpha) power.
     q_vals = lam ** (1.0 / alpha)
-    q_new = spec.apply(q_vals)
-    p_new = spec.apply(lam ** ((1.0 - alpha) / alpha))
-    pair = _state_pairings(problem, p_new)
-    tr = float(q_vals.sum())
-    return IterateState(
-        step=state.step + 1,
-        matrix=q_new,
-        power=p_new,
-        pairings=pair,
-        trace=tr,
-        f_value=_f_from_pairings(problem.weights, pair, alpha, tr),
-    )
+    p_new = rebuild(lam ** ((1.0 - alpha) / alpha))
+    return _iterate(problem, state.step + 1, rebuild(q_vals), p_new, float(q_vals.sum()))
 
 
-@dataclass(frozen=True)
-class ClassicalIterateState:
-    """Vector analogue of :class:`IterateState`."""
-
-    step: int
-    vector: np.ndarray
-    power: np.ndarray
-    pairings: np.ndarray
-    total: float
-    f_value: float
-
-    @property
-    def normalized(self) -> np.ndarray:
-        return self.vector / self.total
-
-
-def initial_classical_state(problem: ClassicalAugustinProblem, q1: np.ndarray) -> ClassicalIterateState:
-    alpha = problem.order
-    q1 = np.asarray(q1, dtype=float)
-    if not np.all(q1 > 0):
-        raise InvalidInput("starting vector must be strictly positive")
-    power = q1 ** (1.0 - alpha)
-    pair = problem.point_powers @ power
-    total = float(q1.sum())
-    return ClassicalIterateState(
-        step=0,
-        vector=q1,
-        power=power,
-        pairings=pair,
-        total=total,
-        f_value=_f_from_pairings(problem.weights, pair, alpha, total),
-    )
-
-
-def _renormalized_classical(state: ClassicalIterateState, alpha: float) -> ClassicalIterateState:
-    if state.total == 1.0:
-        return state
-    g = state.total ** (alpha - 1.0)
-    return ClassicalIterateState(
-        step=state.step,
-        vector=state.vector / state.total,
-        power=state.power * g,
-        pairings=state.pairings * g,
-        total=1.0,
-        f_value=state.f_value,
-    )
-
-
-def classical_augustin_step(
-    problem: ClassicalAugustinProblem, state: ClassicalIterateState
-) -> ClassicalIterateState:
-    """One fixed-point sweep of the commuting specialization."""
-    alpha = problem.order
-    pair = state.pairings
-    if np.any(pair <= EIG_FLOOR):
-        raise DegenerateTrace(
-            f"pairing collapsed (min {pair.min():.3e}); update undefined"
-        )
-    s = (problem.weights / pair) @ problem.point_powers
-    q_new = s ** (1.0 / alpha)
-    p_new = s ** ((1.0 - alpha) / alpha)
-    pair_new = problem.point_powers @ p_new
-    total = float(q_new.sum())
-    return ClassicalIterateState(
-        step=state.step + 1,
-        vector=q_new,
-        power=p_new,
-        pairings=pair_new,
-        total=total,
-        f_value=_f_from_pairings(problem.weights, pair_new, alpha, total),
-    )
+# The commuting form runs through the same kernel.
+initial_classical_state = initial_state
+classical_augustin_step = petz_augustin_step
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +232,6 @@ class SolveReport:
     stop_reason: str
     guaranteed: bool
     raw_iterates: list | None = None
-    degenerate_evals: int = 0
 
 
 def _solve_loop(
@@ -313,12 +249,11 @@ def _solve_loop(
 ):
     rows = IterationTrace()
     raw = [state] if keep_iterates else None
-    degenerate = 0
     rows.append(
         TraceRow(
             step=0,
             f_value=state.f_value,
-            trace=_scale_of(state),
+            trace=state.trace,
             residual_thompson=None,
             dist_to_reference=reference_distance(state),
             wall_time_ms=0.0,
@@ -330,21 +265,16 @@ def _solve_loop(
         carried = renormalize(state) if not guaranteed else state
         began = perf_counter()
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", DegenerateTraceWarning)
-                new = advance(carried)
-                residual = residual_metric(new, carried)
-            degenerate += sum(
-                1 for c in caught if issubclass(c.category, DegenerateTraceWarning)
-            )
+            new = advance(carried)
+            residual = residual_metric(new, carried)
         except (SingularMatrix, DegenerateTrace, InvalidInput, FloatingPointError):
             reason = STOP_NON_FINITE
             break
         if not (
             math.isfinite(residual)
             and math.isfinite(new.f_value)
-            and math.isfinite(_scale_of(new))
-            and _scale_of(new) > 0
+            and math.isfinite(new.trace)
+            and new.trace > 0
         ):
             reason = STOP_NON_FINITE
             break
@@ -353,7 +283,7 @@ def _solve_loop(
             TraceRow(
                 step=state.step,
                 f_value=state.f_value,
-                trace=_scale_of(state),
+                trace=state.trace,
                 residual_thompson=residual,
                 dist_to_reference=reference_distance(state),
                 wall_time_ms=(perf_counter() - began) * 1e3,
@@ -372,16 +302,18 @@ def _solve_loop(
         stop_reason=reason,
         guaranteed=guaranteed,
         raw_iterates=raw,
-        degenerate_evals=degenerate,
     )
 
 
-def _scale_of(state) -> float:
-    return state.trace if hasattr(state, "trace") else state.total
+def _uniform_start(problem: Problem) -> np.ndarray:
+    d = problem.dim
+    if isinstance(problem, ClassicalAugustinProblem):
+        return np.full(d, 1.0 / d)
+    return np.eye(d, dtype=complex) / d
 
 
 def solve_petz_augustin(
-    problem: AugustinProblem,
+    problem: Problem,
     q1: np.ndarray | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
@@ -393,6 +325,10 @@ def solve_petz_augustin(
     residual between consecutive trace-normalized powered iterates drops below
     ``residual_tol`` or ``max_iter`` sweeps have been applied.
 
+    Accepts an :class:`AugustinProblem` (density matrices) or a
+    :class:`ClassicalAugustinProblem` (probability vectors); the default start
+    is the maximally mixed state of either form.
+
     For orders at or below 1/2 there is no contraction guarantee; the run is
     labeled accordingly, the carried iterate is re-normalized every sweep to
     postpone overflow, and non-finite values stop the run early with the
@@ -402,24 +338,26 @@ def solve_petz_augustin(
         raise InvalidInput("max_iter must be >= 1")
     alpha = problem.order
     if q1 is None:
-        q1 = np.eye(problem.dim, dtype=complex) / problem.dim
+        q1 = _uniform_start(problem)
     guaranteed = alpha > 0.5
-    ref_power = None
-    if reference is not None:
-        ref_power = matrix_power(hermitize(reference), 1.0 - alpha)
+    if isinstance(problem, ClassicalAugustinProblem):
+        metric = thompson_metric_vec
+        ref_power = None if reference is None else np.asarray(reference, float) ** (1.0 - alpha)
+    else:
+        metric = thompson_metric_psd
+        ref_power = None if reference is None else matrix_power(hermitize(reference), 1.0 - alpha)
+
+    def normalized_power(state: IterateState) -> np.ndarray:
+        return state.power * state.trace ** (alpha - 1.0)
 
     def reference_distance(state: IterateState):
         if ref_power is None:
             return None
-        norm_power = state.power * state.trace ** (alpha - 1.0)
-        return thompson_metric_psd(ref_power, norm_power)
+        return metric(ref_power, normalized_power(state))
 
     def residual(new: IterateState, old: IterateState) -> float:
         # residual between consecutive trace-normalized powered iterates
-        return thompson_metric_psd(
-            new.power * new.trace ** (alpha - 1.0),
-            old.power * old.trace ** (alpha - 1.0),
-        )
+        return metric(normalized_power(new), normalized_power(old))
 
     return _solve_loop(
         state=initial_state(problem, q1),
@@ -435,49 +373,7 @@ def solve_petz_augustin(
     )
 
 
-def solve_classical_augustin(
-    problem: ClassicalAugustinProblem,
-    q1: np.ndarray | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    *,
-    reference: np.ndarray | None = None,
-    keep_iterates: bool = False,
-) -> SolveReport:
-    """Vector analogue of :func:`solve_petz_augustin`."""
-    if max_iter < 1:
-        raise InvalidInput("max_iter must be >= 1")
-    alpha = problem.order
-    if q1 is None:
-        q1 = np.full(problem.dim, 1.0 / problem.dim)
-    guaranteed = alpha > 0.5
-    ref_power = None
-    if reference is not None:
-        ref_power = np.asarray(reference, dtype=float) ** (1.0 - alpha)
-
-    def reference_distance(state: ClassicalIterateState):
-        if ref_power is None:
-            return None
-        return thompson_metric_vec(ref_power, state.power * state.total ** (alpha - 1.0))
-
-    def residual(new: ClassicalIterateState, old: ClassicalIterateState) -> float:
-        return thompson_metric_vec(
-            new.power * new.total ** (alpha - 1.0),
-            old.power * old.total ** (alpha - 1.0),
-        )
-
-    return _solve_loop(
-        state=initial_classical_state(problem, q1),
-        advance=lambda s: classical_augustin_step(problem, s),
-        renormalize=lambda s: _renormalized_classical(s, alpha),
-        residual_metric=residual,
-        normalized_of=lambda s: s.normalized,
-        reference_distance=reference_distance,
-        max_iter=max_iter,
-        residual_tol=residual_tol,
-        guaranteed=guaranteed,
-        keep_iterates=keep_iterates,
-    )
+solve_classical_augustin = solve_petz_augustin
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +490,9 @@ class PolyakRun:
 
 def emd_polyak_run(problem, steps: int, f_best: float, q1=None) -> PolyakRun:
     """Iterate :func:`emd_polyak_step`, tracking the best objective value."""
-    classical = isinstance(problem, ClassicalAugustinProblem)
     if q1 is None:
-        d = problem.dim
-        q1 = np.full(d, 1.0 / d) if classical else np.eye(d, dtype=complex) / d
-    evaluate = objective_f if classical else _objective_commuting
+        q1 = _uniform_start(problem)
+    evaluate = objective_f if isinstance(problem, ClassicalAugustinProblem) else objective_F
     q = q1
     best_value = INF
     best_point = q1
@@ -611,12 +505,6 @@ def emd_polyak_run(problem, steps: int, f_best: float, q1=None) -> PolyakRun:
             best_point = np.array(q, copy=True)
         q = emd_polyak_step(problem, q, f_best)
     return PolyakRun(best_value=best_value, best_point=best_point, values=values)
-
-
-def _objective_commuting(problem: AugustinProblem, q: np.ndarray) -> float:
-    from .divergences import objective_F
-
-    return objective_F(problem, q)
 
 
 def commuting_reduction(problem: AugustinProblem):

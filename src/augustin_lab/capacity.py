@@ -27,6 +27,7 @@ from .augustin import (
 from .divergences import AugustinProblem, _check_weights, divergence_from_pairing
 from .errors import InvalidInput, InvalidOrder
 from .linalg import thompson_metric_psd
+from .trace import write_csv
 
 DEFAULT_EPS = 1e-9
 MAX_INNER_ITERS = 100_000
@@ -200,16 +201,15 @@ class CapacityReport:
     eps_budget: float  # accumulated inexactness allowance 2 * sum(eps_t)
 
     def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "g_hat", "gap_certificate", "inner_iters", "wall_time_ms"])
-            n = self.w_final.shape[0]
-            for s in self.states:
-                writer.writerow(
-                    [s.step, repr(s.g_hat), repr(math.log(n) / s.step), s.inner_iters, repr(s.wall_time_ms)]
-                )
+        n = self.w_final.shape[0]
+        write_csv(
+            path,
+            ["step", "g_hat", "gap_certificate", "inner_iters", "wall_time_ms"],
+            (
+                [s.step, s.g_hat, math.log(n) / s.step, s.inner_iters, s.wall_time_ms]
+                for s in self.states
+            ),
+        )
 
 
 def solve_capacity(

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -32,6 +31,7 @@ from .linalg import (
     thompson_metric_psd,
     thompson_metric_vec,
 )
+from .trace import write_csv
 
 TASKS = ("augustin", "classical", "capacity", "fisher", "counterexample", "divergence_demo")
 SCHEDULES = ("synchronous", "round-robin", "random")
@@ -63,10 +63,9 @@ class ExperimentConfig:
     seed: int = 0
     n: int = 8
     d: int = 16
-    alpha: float = 1.5
+    alpha: float | None = None  # resolved per task in __post_init__
     iters: int = 60
     out: str | None = None
-    threads: int = 1
     residual_tol: float = 1e-10
     # capacity
     outer_steps: int = 50
@@ -83,6 +82,11 @@ class ExperimentConfig:
     polyak_steps: int = 1000
     grid_resolution: int = 1000
 
+    def __post_init__(self) -> None:
+        if self.alpha is None:
+            # capacity is only defined for orders in (1/2, 1)
+            self.alpha = 0.8 if self.task == "capacity" else 1.5
+
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Return a list of violations; empty means the config is runnable."""
@@ -93,8 +97,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         bad.append("n and d must be >= 1")
     if cfg.iters < 1:
         bad.append("iteration budget must be >= 1")
-    if cfg.threads < 1:
-        bad.append("threads must be >= 1")
     if cfg.task in ("augustin", "classical"):
         if not (cfg.alpha > 0 and cfg.alpha != 1):
             bad.append(f"order {cfg.alpha} outside (0,1)u(1,inf)")
@@ -122,22 +124,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         if cfg.grid_resolution < 3:
             bad.append("grid_resolution must be >= 3")
     return bad
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(x) for x in row])
-
-
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):  # includes numpy float scalars
-        return repr(float(x))
-    return str(x)
 
 
 def _sha256(path: Path) -> str:
@@ -212,7 +198,7 @@ def run_counterexample(cfg: ExperimentConfig) -> int:
     print(f"contraction-ratio bound : {rhs:.6f} (expected {expected_rhs} +/- 1e-3)")
     print("PASS" if ok else "FAIL")
     ws.results = {"image_distance": lhs, "ratio_bound": rhs, "pass": ok}
-    _write_csv(
+    write_csv(
         ws.path("counterexample.csv"),
         ["quantity", "value"],
         [["image_distance", lhs], ["ratio_bound", rhs], ["exceeds", int(lhs > rhs)]],
@@ -243,7 +229,7 @@ def run_divergence_demo(cfg: ExperimentConfig) -> int:
         tag = f"alpha{alpha:g}".replace(".", "p")
         report.iterates.to_csv(ws.path(f"demo_{tag}_trace.csv"))
         f_ref = objective_f(problem, reference)
-        _write_csv(
+        write_csv(
             ws.path(f"demo_{tag}_errors.csv"),
             ["step", "opt_error", "iterate_error"],
             [
@@ -287,7 +273,7 @@ def _solve_with_reference(problem, solve, cfg, ws: Workspace, tag: str) -> dict:
     elapsed = (perf_counter() - began) * 1e3
     report.iterates.to_csv(ws.path(f"{tag}_trace.csv"))
     f_ref = reference_report.iterates.rows[-1].f_value
-    _write_csv(
+    write_csv(
         ws.path(f"{tag}_errors.csv"),
         ["step", "opt_error", "iterate_error"],
         [[r.step, r.f_value - f_ref, r.dist_to_reference] for r in report.iterates],
@@ -384,7 +370,7 @@ def run_fisher(cfg: ExperimentConfig) -> int:
                 epoch_index,
             ]
         )
-    _write_csv(
+    write_csv(
         ws.path("fisher_trace.csv"),
         ["round", "d_T_to_eq", "max_excess_demand", "epoch_index"],
         rows,
@@ -449,7 +435,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--iters", type=int)
     parser.add_argument("--out", help=f"output directory (or set ${OUT_ENV})")
-    parser.add_argument("--threads", type=int, help="reserved; only 1 is used")
     parser.add_argument("--residual-tol", dest="residual_tol", type=float)
 
 

@@ -184,6 +184,17 @@ def divergence_from_pairing(tr: float, alpha: float) -> float:
     return math.log(tr) / (alpha - 1.0)
 
 
+def weighted_divergence(weights: np.ndarray, pairings: np.ndarray, alpha: float) -> float:
+    """sum_j w_j D_j from the pairings, summed in index order; +inf is absorbing."""
+    total = 0.0
+    for wj, pj in zip(weights, pairings):
+        d = divergence_from_pairing(float(pj), alpha)
+        if d == INF:
+            return INF
+        total += wj * d
+    return total
+
+
 def petz_renyi_divergence(a: np.ndarray, q: np.ndarray, alpha: float) -> float:
     """Divergence of order alpha between a state ``a`` and PSD ``q``; may be +inf."""
     alpha = _check_order(alpha)
@@ -194,15 +205,8 @@ def petz_renyi_divergence(a: np.ndarray, q: np.ndarray, alpha: float) -> float:
 
 def objective_F(problem: AugustinProblem, q: np.ndarray) -> float:
     """Weighted divergence sum F(Q); +inf propagates absorbingly."""
-    alpha = problem.order
-    pair = pairing_traces(problem.state_powers, alpha, q)
-    total = 0.0
-    for j in range(problem.n):
-        d = divergence_from_pairing(float(pair[j]), alpha)
-        if d == INF:
-            return INF
-        total += problem.weights[j] * d
-    return total
+    pair = pairing_traces(problem.state_powers, problem.order, q)
+    return weighted_divergence(problem.weights, pair, problem.order)
 
 
 def classical_pairings(problem: ClassicalAugustinProblem, q: np.ndarray) -> np.ndarray:
@@ -221,12 +225,5 @@ def classical_pairings(problem: ClassicalAugustinProblem, q: np.ndarray) -> np.n
 
 def objective_f(problem: ClassicalAugustinProblem, q: np.ndarray) -> float:
     """Scalar analogue of :func:`objective_F` on probability vectors."""
-    alpha = problem.order
     pair = classical_pairings(problem, q)
-    total = 0.0
-    for j in range(problem.n):
-        d = divergence_from_pairing(float(pair[j]), alpha)
-        if d == INF:
-            return INF
-        total += problem.weights[j] * d
-    return total
+    return weighted_divergence(problem.weights, pair, problem.order)

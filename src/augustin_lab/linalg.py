@@ -9,7 +9,6 @@ real-spectrum regime.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,11 +190,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if np.abs(a - a.conj().T).max() > 1e-12 * (1.0 + np.abs(a).max()):
         raise InvalidInput("matrix payload is not Hermitian within tolerance")
     return hermitize(a)
-
-
-def matrix_dumps(a: np.ndarray) -> str:
-    return json.dumps(matrix_to_json(a))
-
-
-def matrix_loads(s: str) -> np.ndarray:
-    return matrix_from_json(json.loads(s))

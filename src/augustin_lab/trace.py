@@ -1,4 +1,4 @@
-"""Per-step iteration records and their CSV/JSON persistence."""
+"""Per-step iteration records, their JSON persistence, and the CSV writer."""
 
 from __future__ import annotations
 
@@ -38,15 +38,20 @@ class IterationTrace:
         return [getattr(r, name) for r in self.rows]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in self.rows:
-                writer.writerow([_cell(getattr(r, c)) for c in CSV_COLUMNS])
+        write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in self.rows))
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump([asdict(r) for r in self.rows], fh, indent=1)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows; None is an empty cell, floats keep every digit."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(x) for x in row])
 
 
 def _cell(value) -> str:

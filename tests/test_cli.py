@@ -131,6 +131,14 @@ class TestExperimentTasks:
         assert rows[0] == ["step", "g_hat", "gap_certificate", "inner_iters", "wall_time_ms"]
         assert len(rows) == 7  # header + states 1..6
 
+    def test_capacity_task_default_order(self, tmp_path):
+        # the shared default order 1.5 lies outside capacity's (1/2, 1)
+        out = tmp_path / "cap"
+        code = main(["capacity", "--n", "3", "--d", "2", "--outer-steps", "3", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["alpha"] == 0.8
+
     def test_fisher_task(self, tmp_path):
         out = tmp_path / "fish"
         code = main(
