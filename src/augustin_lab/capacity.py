@@ -26,7 +26,6 @@ from .augustin import (
 )
 from .divergences import AugustinProblem, _check_weights, divergence_from_pairing
 from .errors import InvalidInput, InvalidOrder
-from .linalg import thompson_metric_psd
 from .trace import write_csv
 
 DEFAULT_EPS = 1e-9
@@ -84,9 +83,12 @@ def _inner_solve(problem: AugustinProblem, eps: float) -> tuple[IterateState, in
     """
     alpha = problem.order
     kappa = contraction_factor(alpha)
-    state0 = initial_state(problem, np.eye(problem.dim, dtype=complex) / problem.dim)
-    state = petz_augustin_step(problem, state0)
-    first_move = thompson_metric_psd(state.power, state0.power)
+    d = problem.dim
+    state = petz_augustin_step(problem, initial_state(problem, np.eye(d, dtype=complex) / d))
+    # The start I/d has the power d^(alpha-1) I, so the first move
+    # d_T(P_1, d^(alpha-1) I) needs only the eigenvalues of P_1.
+    mu = np.linalg.eigvalsh(state.power)
+    first_move = float(np.abs(np.log(mu * d ** (1.0 - alpha))).max())
     iters = 1
     # Banach bound on the distance to the fixed point, then the sweep count
     # needed to push it below the effective tolerance.

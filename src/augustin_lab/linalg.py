@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidInput, SingularMatrix
 
@@ -99,17 +98,19 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 def thompson_metric_psd(u: np.ndarray, v: np.ndarray) -> float:
     """Thompson metric between positive definite U and V.
 
-    Computed from the spectrum of V^{-1/2} U V^{-1/2} (equivalently the
-    generalized eigenvalues of the pair (U, V)).
+    Computed from the spectrum of L^{-1} U L^{-*}, where V = L L^* is the
+    Cholesky factorization (equivalently the generalized eigenvalues of the
+    pair (U, V)).
     """
     u = hermitize(u)
     v = hermitize(v)
     if u.shape != v.shape:
         raise InvalidInput(f"dimension mismatch: {u.shape} vs {v.shape}")
     try:
-        w = sla.eigh(u, v, eigvals_only=True)
-    except (sla.LinAlgError, ValueError) as exc:
+        inv = np.linalg.inv(np.linalg.cholesky(v))
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"second argument is not positive definite: {exc}") from exc
+    w = np.linalg.eigvalsh(inv @ u @ inv.conj().T)
     if w.min() <= 0:
         raise SingularMatrix("first argument is not positive definite")
     return float(max(np.log(w.max()), -np.log(w.min())))

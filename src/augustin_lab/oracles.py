@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .capacity import CapacityProblem
 from .divergences import ClassicalAugustinProblem, divergence_from_pairing, pairing_traces
@@ -199,6 +198,8 @@ def coordinate_descent_potential(
     An algorithm-independent cross-check of the equilibrium oracle for small
     markets (the potential is convex and smooth on the positive orthant).
     """
+    from scipy.optimize import minimize_scalar  # scipy serves only this oracle
+
     if market.d_goods > 4:
         raise Unsupported("coordinate descent cross-check is limited to <= 4 goods")
     p = np.asarray(p0, dtype=float).copy()

@@ -432,6 +432,19 @@ class TestPolyakMirror:
         assert isinstance(run, PolyakRun)
         assert abs(run.best_value - f_grid) <= 1e-6
 
+    @pytest.mark.parametrize("alpha", [3.0, 5.0])
+    def test_target_far_below_optimum_keeps_point_positive(self, alpha):
+        # f* is about 1.04 on the demo instance; a target of 0 asks for steps
+        # long enough to underflow a coordinate unless the step is capped
+        from augustin_lab.cli import DEMO_POINTS, DEMO_WEIGHTS
+
+        p = ClassicalAugustinProblem.create(DEMO_POINTS, DEMO_WEIGHTS, alpha)
+        q = emd_polyak_step(p, np.full(3, 1 / 3), f_best=0.0)
+        assert q.min() > 0 and q.sum() == pytest.approx(1.0)
+        run = emd_polyak_run(p, steps=200, f_best=0.0)
+        assert len(run.values) == 200 and all(np.isfinite(run.values))
+        assert run.best_value == min(run.values) and run.best_point.min() > 0
+
     def test_quantum_commuting_reduction(self, rng):
         cp = make_classical(rng, 3, 3, 0.4)
         qp = cp.diagonal_embedding()
