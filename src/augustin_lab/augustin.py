@@ -182,7 +182,7 @@ def initial_state(problem: Problem, q1: np.ndarray) -> IterateState:
             raise InvalidInput("starting vector must be strictly positive")
         return _iterate(problem, 0, q1, q1 ** (1.0 - alpha), float(q1.sum()))
     q1 = hermitize(q1)
-    power = matrix_power(q1, 1.0 - alpha, spectrum=hermitian_eig(q1))
+    power = matrix_power(q1, 1.0 - alpha)
     return _iterate(problem, 0, q1, power, float(np.trace(q1).real))
 
 
@@ -242,77 +242,6 @@ class SolveReport:
     guaranteed: bool
     raw_iterates: list | None = None
     distance_bound: float | None = None
-
-
-def _solve_loop(
-    *,
-    state,
-    advance,
-    renormalize,
-    residual_metric,
-    normalized_of,
-    reference_distance,
-    max_iter: int,
-    residual_tol: float,
-    guaranteed: bool,
-    keep_iterates: bool,
-):
-    rows = IterationTrace()
-    raw = [state] if keep_iterates else None
-    rows.append(
-        TraceRow(
-            step=0,
-            f_value=state.f_value,
-            trace=state.trace,
-            residual_thompson=None,
-            dist_to_reference=reference_distance(state),
-            wall_time_ms=0.0,
-        )
-    )
-    converged = False
-    reason = STOP_MAX_ITER
-    for _ in range(max_iter):
-        carried = renormalize(state) if not guaranteed else state
-        began = perf_counter()
-        try:
-            new = advance(carried)
-            residual = residual_metric(new, carried)
-        except (SingularMatrix, DegenerateTrace, InvalidInput, FloatingPointError):
-            reason = STOP_NON_FINITE
-            break
-        if not (
-            math.isfinite(residual)
-            and math.isfinite(new.f_value)
-            and math.isfinite(new.trace)
-            and new.trace > 0
-        ):
-            reason = STOP_NON_FINITE
-            break
-        state = new
-        rows.append(
-            TraceRow(
-                step=state.step,
-                f_value=state.f_value,
-                trace=state.trace,
-                residual_thompson=residual,
-                dist_to_reference=reference_distance(state),
-                wall_time_ms=(perf_counter() - began) * 1e3,
-            )
-        )
-        if keep_iterates:
-            raw.append(state)
-        if residual <= residual_tol:
-            converged = True
-            reason = STOP_RESIDUAL
-            break
-    return SolveReport(
-        iterates=rows,
-        final=normalized_of(state),
-        converged=converged,
-        stop_reason=reason,
-        guaranteed=guaranteed,
-        raw_iterates=raw,
-    )
 
 
 def _uniform_start(problem: Problem) -> np.ndarray:
@@ -388,54 +317,75 @@ def solve_petz_augustin(
     else:
         metric = thompson_metric_psd
         ref_power = None if reference is None else matrix_power(hermitize(reference), 1.0 - alpha)
+    certified = guaranteed and not vector
 
-    def normalized_power(state: IterateState) -> np.ndarray:
-        return state.power * state.trace ** (alpha - 1.0)
-
-    def reference_distance(state: IterateState):
-        if ref_power is None:
-            return None
-        return metric(ref_power, normalized_power(state))
-
-    def residual(new: IterateState, old: IterateState) -> float:
-        # residual between consecutive trace-normalized powered iterates
-        return metric(normalized_power(new), normalized_power(old))
-
+    state = initial_state(problem, q1)
+    rows = IterationTrace()
+    raw = [state] if keep_iterates else None
+    distance = None
+    if ref_power is not None:
+        distance = metric(ref_power, state.power * state.trace ** (alpha - 1.0))
+    rows.append(TraceRow(0, state.f_value, state.trace, None, distance, 0.0))
+    reason = STOP_MAX_ITER
     before = None  # the iterate the carried one was swept from
+    for _ in range(max_iter):
+        carried = state if guaranteed else _renormalized(state, alpha)
+        began = perf_counter()
+        try:
+            new = petz_augustin_step(problem, carried)
+            if certified and before is not None:
+                # The O(n) bound above.  A guaranteed run carries its iterates
+                # unnormalized, so carried is exactly the sweep of before and
+                # carried.trace is that sweep's raw trace.
+                x = np.log(before.pairings / carried.pairings)
+                residual = abs(1.0 - alpha) * float(
+                    np.abs(x / alpha - math.log(new.trace / carried.trace)).max()
+                )
+            else:
+                # exact: the vector form, orders at or below 1/2, and the
+                # first sweep, which has no predecessor to read pairings from
+                residual = metric(
+                    new.power * new.trace ** (alpha - 1.0),
+                    carried.power * carried.trace ** (alpha - 1.0),
+                )
+        except (SingularMatrix, DegenerateTrace, InvalidInput, FloatingPointError):
+            reason = STOP_NON_FINITE
+            break
+        wall_time_ms = (perf_counter() - began) * 1e3
+        if not (
+            math.isfinite(residual)
+            and math.isfinite(new.f_value)
+            and math.isfinite(new.trace)
+            and new.trace > 0
+        ):
+            reason = STOP_NON_FINITE
+            break
+        before, state = carried, new
+        if ref_power is not None:
+            distance = metric(ref_power, state.power * state.trace ** (alpha - 1.0))
+        rows.append(
+            TraceRow(state.step, state.f_value, state.trace, residual, distance, wall_time_ms)
+        )
+        if keep_iterates:
+            raw.append(state)
+        if residual <= residual_tol:
+            reason = STOP_RESIDUAL
+            break
 
-    def certified_residual(new: IterateState, old: IterateState) -> float:
-        # O(n) upper bound on residual(new, old); the first sweep has no
-        # predecessor to read pairings from, so it is measured exactly.  A
-        # guaranteed run carries its iterates unnormalized, so old is exactly
-        # the sweep of before and old.trace is that sweep's raw trace.
-        nonlocal before
-        if before is None:
-            value = residual(new, old)
-        else:
-            x = np.log(before.pairings / old.pairings)
-            value = abs(1.0 - alpha) * float(
-                np.abs(x / alpha - math.log(new.trace / old.trace)).max()
-            )
-        before = old
-        return value
-
-    report = _solve_loop(
-        state=initial_state(problem, q1),
-        advance=lambda s: petz_augustin_step(problem, s),
-        renormalize=lambda s: _renormalized(s, alpha),
-        residual_metric=certified_residual if guaranteed and not vector else residual,
-        normalized_of=lambda s: s.normalized,
-        reference_distance=reference_distance,
-        max_iter=max_iter,
-        residual_tol=residual_tol,
-        guaranteed=guaranteed,
-        keep_iterates=keep_iterates,
-    )
-    last = report.iterates.rows[-1].residual_thompson
+    last = rows.rows[-1].residual_thompson
+    bound = None
     if guaranteed and last is not None:
         kappa = contraction_factor(alpha)
-        report.distance_bound = 2.0 * kappa / (1.0 - kappa) * last
-    return report
+        bound = 2.0 * kappa / (1.0 - kappa) * last
+    return SolveReport(
+        iterates=rows,
+        final=state.normalized,
+        converged=reason == STOP_RESIDUAL,
+        stop_reason=reason,
+        guaranteed=guaranteed,
+        raw_iterates=raw,
+        distance_bound=bound,
+    )
 
 
 solve_classical_augustin = solve_petz_augustin

@@ -224,7 +224,6 @@ def run_divergence_demo(cfg: ExperimentConfig) -> int:
             max_iter=cfg.iters,
             residual_tol=0.0,
             reference=reference,
-            keep_iterates=True,
         )
         tag = f"alpha{alpha:g}".replace(".", "p")
         report.iterates.to_csv(ws.path(f"demo_{tag}_trace.csv"))
@@ -260,17 +259,25 @@ def run_divergence_demo(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _solve_with_reference(problem, solve, cfg, ws: Workspace, tag: str) -> dict:
-    reference_report = solve(problem, max_iter=200, residual_tol=1e-12)
-    reference = reference_report.final
+def run_fixed_point(cfg: ExperimentConfig) -> int:
+    ws = Workspace(cfg)
+    weights = np.full(cfg.n, 1.0 / cfg.n)
+    if cfg.task == "augustin":
+        states = random_density_ensemble(cfg.seed, cfg.n, cfg.d)
+        problem = AugustinProblem.create(states, weights, cfg.alpha)
+    else:
+        points = np.random.default_rng(cfg.seed).dirichlet(np.ones(cfg.d), size=cfg.n)
+        problem = ClassicalAugustinProblem.create(points, weights, cfg.alpha)
+    reference_report = augustin.solve_petz_augustin(problem, max_iter=200, residual_tol=1e-12)
     began = perf_counter()
-    report = solve(
+    report = augustin.solve_petz_augustin(
         problem,
         max_iter=cfg.iters,
         residual_tol=0.0,
-        reference=reference,
+        reference=reference_report.final,
     )
     elapsed = (perf_counter() - began) * 1e3
+    tag = f"{cfg.task}_alpha{cfg.alpha:g}".replace(".", "p")
     report.iterates.to_csv(ws.path(f"{tag}_trace.csv"))
     f_ref = reference_report.iterates.rows[-1].f_value
     write_csv(
@@ -278,7 +285,7 @@ def _solve_with_reference(problem, solve, cfg, ws: Workspace, tag: str) -> dict:
         ["step", "opt_error", "iterate_error"],
         [[r.step, r.f_value - f_ref, r.dist_to_reference] for r in report.iterates],
     )
-    return {
+    ws.results = {
         "stop_reason": report.stop_reason,
         "converged": report.converged,
         "reference_stop_reason": reference_report.stop_reason,
@@ -286,31 +293,6 @@ def _solve_with_reference(problem, solve, cfg, ws: Workspace, tag: str) -> dict:
         "reference_f": f_ref,
         "wall_time_ms": elapsed,
     }
-
-
-def run_augustin(cfg: ExperimentConfig) -> int:
-    ws = Workspace(cfg)
-    states = random_density_ensemble(cfg.seed, cfg.n, cfg.d)
-    problem = AugustinProblem.create(states, np.full(cfg.n, 1.0 / cfg.n), cfg.alpha)
-    tag = f"augustin_alpha{cfg.alpha:g}".replace(".", "p")
-    ws.results = _solve_with_reference(
-        problem, augustin.solve_petz_augustin, cfg, ws, tag
-    )
-    ws.finalize()
-    return 0
-
-
-def run_classical(cfg: ExperimentConfig) -> int:
-    ws = Workspace(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    points = rng.dirichlet(np.ones(cfg.d), size=cfg.n)
-    problem = ClassicalAugustinProblem.create(
-        points, np.full(cfg.n, 1.0 / cfg.n), cfg.alpha
-    )
-    tag = f"classical_alpha{cfg.alpha:g}".replace(".", "p")
-    ws.results = _solve_with_reference(
-        problem, augustin.solve_classical_augustin, cfg, ws, tag
-    )
     ws.finalize()
     return 0
 
@@ -489,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 RUNNERS = {
-    "augustin": run_augustin,
-    "classical": run_classical,
+    "augustin": run_fixed_point,
+    "classical": run_fixed_point,
     "capacity": run_capacity,
     "fisher": run_fisher,
     "counterexample": run_counterexample,

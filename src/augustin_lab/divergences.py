@@ -23,11 +23,10 @@ from .linalg import (
     hermitize,
     matrix_from_json,
     matrix_to_json,
-    min_eigenvalue,
-    validate_density,
 )
 
 INF = math.inf
+DENSITY_ATOL = 1e-10  # tolerance of the PSD and unit-trace checks on states
 
 
 def _check_order(alpha: float) -> float:
@@ -71,18 +70,28 @@ class AugustinProblem:
     @classmethod
     def create(cls, states, weights, order: float) -> "AugustinProblem":
         order = _check_order(order)
-        mats = np.stack([validate_density(s) for s in states])
-        n = mats.shape[0]
-        w = _check_weights(weights, n)
-        total = mats.sum(axis=0)
-        lam_min = min_eigenvalue(total)
-        lam_max = float(np.linalg.norm(total, 2))
-        if lam_min <= EIG_FLOOR * lam_max:
+        mats = np.stack([hermitize(s) for s in states])
+        # One decomposition per state serves the checks and the power;
+        # eigh returns eigenvalues in increasing order.
+        lam, vecs = np.linalg.eigh(mats)
+        for j in range(mats.shape[0]):
+            if lam[j, 0] < -DENSITY_ATOL:
+                raise InvalidInput(f"matrix is not PSD: min eigenvalue {lam[j, 0]:.3e}")
+            tr = float(np.trace(mats[j]).real)
+            if abs(tr - 1.0) > DENSITY_ATOL:
+                raise InvalidInput(f"matrix trace {tr!r} is not 1 within {DENSITY_ATOL}")
+        w = _check_weights(weights, mats.shape[0])
+        lam_total = np.linalg.eigvalsh(mats.sum(axis=0))
+        if lam_total[0] <= EIG_FLOOR * lam_total[-1]:
             raise InvalidInput(
-                f"sum of states must be full-rank; min eigenvalue {lam_min:.3e}"
+                f"sum of states must be full-rank; min eigenvalue {lam_total[0]:.3e}"
             )
-        powers = np.stack([_psd_power(m, order) for m in mats])
-        return cls(states=mats, weights=w, order=order, state_powers=powers)
+        # Each power overwrites the eigenvectors it was built from, so the
+        # construction holds no third (n, d, d) stack.
+        for j in range(mats.shape[0]):
+            spec = Spectrum(lam[j, ::-1], vecs[j, :, ::-1])
+            vecs[j] = spec.apply(np.clip(spec.eigenvalues, 0.0, None) ** order)
+        return cls(states=mats, weights=w, order=order, state_powers=vecs)
 
     @property
     def n(self) -> int:
@@ -143,17 +152,14 @@ class ClassicalAugustinProblem:
         return AugustinProblem.create(states, self.weights, self.order)
 
 
-def pairing_traces(
-    state_powers: np.ndarray, alpha: float, q: np.ndarray, spectrum: Spectrum | None = None
-) -> np.ndarray:
+def pairing_traces(state_powers: np.ndarray, alpha: float, q: np.ndarray) -> np.ndarray:
     """Vector of Tr[A_j^alpha Q^(1-alpha)] with explicit kernel handling.
 
     Eigenvalues of Q below the relative floor count as exact zeros: for
     alpha > 1 any overlap of A_j^alpha with the kernel of Q makes the pairing
     infinite, while for alpha < 1 the kernel simply does not contribute.
     """
-    if spectrum is None:
-        spectrum = hermitian_eig(hermitize(q))
+    spectrum = hermitian_eig(q)
     lam = spectrum.eigenvalues
     v = spectrum.eigenvectors
     floor = EIG_FLOOR * max(float(lam.max()), 0.0)

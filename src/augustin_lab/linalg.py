@@ -38,10 +38,6 @@ class Spectrum:
     eigenvalues: np.ndarray  # shape (d,), real, non-increasing
     eigenvectors: np.ndarray  # shape (d, d), columns match eigenvalues
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Reassemble sum_i values[i] * u_i u_i^*."""
         v = self.eigenvectors
@@ -66,7 +62,7 @@ def _power_of_eigenvalues(w: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-def matrix_power(q: np.ndarray, r: float, spectrum: Spectrum | None = None) -> np.ndarray:
+def matrix_power(q: np.ndarray, r: float) -> np.ndarray:
     """Real matrix power Q^r of a Hermitian positive (semi-)definite matrix.
 
     Negative and fractional powers require all eigenvalues above the relative
@@ -76,12 +72,11 @@ def matrix_power(q: np.ndarray, r: float, spectrum: Spectrum | None = None) -> n
     """
     if not np.isfinite(r):
         raise InvalidInput("power must be finite")
-    if spectrum is None:
-        if r == 1:
-            return hermitize(q)
-        if r == 0:
-            return np.eye(np.asarray(q).shape[0], dtype=complex)
-        spectrum = hermitian_eig(q)
+    if r == 1:
+        return hermitize(q)
+    if r == 0:
+        return np.eye(np.asarray(q).shape[0], dtype=complex)
+    spectrum = hermitian_eig(q)
     return spectrum.apply(_power_of_eigenvalues(spectrum.eigenvalues, r))
 
 
@@ -152,22 +147,6 @@ def _ginibre_density(rng: np.random.Generator, d: int) -> np.ndarray:
     g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     m = g @ g.conj().T
     return hermitize(m / np.trace(m).real)
-
-
-def validate_density(a: np.ndarray, *, atol: float = 1e-10) -> np.ndarray:
-    """Check positive semi-definiteness and unit trace; return the hermitized matrix."""
-    a = hermitize(a)
-    w = np.linalg.eigvalsh(a)
-    if w.min() < -atol:
-        raise InvalidInput(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > atol:
-        raise InvalidInput(f"matrix trace {tr!r} is not 1 within {atol}")
-    return a
-
-
-def min_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(a)).min())
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

@@ -220,34 +220,42 @@ class TestSolver:
         residuals = report.iterates.column("residual_thompson")[1:]
         assert min(residuals) > 1e-2
 
-    def test_non_finite_stop_reason(self):
-        # white-box: a stalled advance that blows up must stop the loop with
-        # the partial trace preserved
-        from augustin_lab.augustin import _solve_loop
-        from augustin_lab.trace import TraceRow
+    def test_non_finite_stop_reason(self, monkeypatch):
+        # a sweep that blows up must stop the run with the partial trace
+        # preserved
+        from dataclasses import replace
 
-        class Fake:
-            def __init__(self, step, f_value, trace):
-                self.step, self.f_value, self.trace = step, f_value, trace
+        from augustin_lab import augustin
 
-        def advance(s):
-            return Fake(s.step + 1, math.inf if s.step >= 2 else 1.0, 1.0)
+        def blow_up_at_sweep_3(problem, state):
+            new = petz_augustin_step(problem, state)
+            return replace(new, f_value=math.inf) if new.step >= 3 else new
 
-        report = _solve_loop(
-            state=Fake(0, 1.0, 1.0),
-            advance=advance,
-            renormalize=lambda s: s,
-            residual_metric=lambda new, old: 1.0,
-            normalized_of=lambda s: s,
-            reference_distance=lambda s: None,
-            max_iter=10,
-            residual_tol=0.0,
-            guaranteed=True,
-            keep_iterates=False,
-        )
+        monkeypatch.setattr(augustin, "petz_augustin_step", blow_up_at_sweep_3)
+        p = make_problem(71, 3, 4, 1.5)
+        report = solve_petz_augustin(p, max_iter=10, residual_tol=0.0)
         assert report.stop_reason == STOP_NON_FINITE
         assert not report.converged
         assert len(report.iterates) == 3  # init + the two finite sweeps
+
+    def test_reference_distance_not_timed(self, monkeypatch):
+        # the reference distance is bookkeeping, not sweep work: a slow metric
+        # may only show in the first sweep's time, whose residual is exact
+        import time
+
+        from augustin_lab import augustin
+
+        def slow_metric(u, v):
+            time.sleep(0.05)
+            return thompson_metric_psd(u, v)
+
+        p = make_problem(72, 3, 4, 1.5)
+        ref = solve_petz_augustin(p, max_iter=200, residual_tol=1e-12).final
+        monkeypatch.setattr(augustin, "thompson_metric_psd", slow_metric)
+        report = solve_petz_augustin(p, max_iter=5, residual_tol=0.0, reference=ref)
+        assert len(report.iterates) == 6
+        assert all(r.dist_to_reference is not None for r in report.iterates)
+        assert all(r.wall_time_ms < 50.0 for r in report.iterates.rows[2:])
 
     def test_reference_distance_column(self):
         p = make_problem(73, 3, 4, 1.5)
