@@ -216,6 +216,21 @@ def petz_augustin_step(problem: Problem, state: IterateState) -> IterateState:
     return _iterate(problem, state.step + 1, rebuild(q_vals), p_new, float(q_vals.sum()))
 
 
+def _certified_residual(
+    before: IterateState, carried: IterateState, new: IterateState, alpha: float
+) -> float:
+    """O(n) upper bound on d_T(N_{t+1}, N_t) for the matrix sweep at orders
+    above 1/2 (derivation in :func:`solve_petz_augustin`).
+
+    ``carried`` must be the raw sweep of ``before`` and ``new`` that of
+    ``carried``, so the pairings and traces are the unnormalized ones.
+    """
+    x = np.log(before.pairings / carried.pairings)
+    return abs(1.0 - alpha) * float(
+        np.abs(x / alpha - math.log(new.trace / carried.trace)).max()
+    )
+
+
 # The commuting form runs through the same kernel.
 initial_classical_state = initial_state
 classical_augustin_step = petz_augustin_step
@@ -335,12 +350,8 @@ def solve_petz_augustin(
             new = petz_augustin_step(problem, carried)
             if certified and before is not None:
                 # The O(n) bound above.  A guaranteed run carries its iterates
-                # unnormalized, so carried is exactly the sweep of before and
-                # carried.trace is that sweep's raw trace.
-                x = np.log(before.pairings / carried.pairings)
-                residual = abs(1.0 - alpha) * float(
-                    np.abs(x / alpha - math.log(new.trace / carried.trace)).max()
-                )
+                # unnormalized, so carried is exactly the sweep of before.
+                residual = _certified_residual(before, carried, new, alpha)
             else:
                 # exact: the vector form, orders at or below 1/2, and the
                 # first sweep, which has no predecessor to read pairings from

@@ -22,10 +22,13 @@ from .augustin import (
     contraction_factor,
     initial_state,
     petz_augustin_step,
+    _certified_residual,
+    _iterate,
     _renormalized,
 )
 from .divergences import AugustinProblem, _check_weights, divergence_from_pairing
 from .errors import InvalidInput, InvalidOrder
+from .linalg import thompson_metric_psd
 from .trace import write_csv
 
 DEFAULT_EPS = 1e-9
@@ -72,37 +75,84 @@ class OracleResult(NamedTuple):
     grad_hat: np.ndarray
     inner_iters: int
     eps: float
+    state: IterateState  # unit-trace inner iterate, a warm start for the next call
 
 
-def _inner_solve(problem: AugustinProblem, eps: float) -> tuple[IterateState, int]:
-    """Run the fixed-point sweep long enough for eps-accurate divergences.
+def _inner_solve(
+    problem: AugustinProblem, eps: float, start: IterateState | None = None
+) -> tuple[IterateState, int]:
+    """Run the fixed-point sweep until its divergences are eps-accurate.
 
-    The sweep count comes from the contraction ratio: the Thompson distance to
-    the fixed point shrinks by kappa per sweep, trace-normalization costs a
-    factor two, and the divergence error is the distance over (1 - alpha).
+    The sweep starts from ``start``, a unit-trace iterate (typically the
+    answer for nearby weights), or from I/d.  Let P_t be the raw (1-alpha)
+    powers of the iterates Q_t, N_t = P_t * (Tr Q_t)^(alpha-1) the powers of
+    the unit-trace iterates and N* the fixed point's.  The error argument has
+    three steps.
+
+    * Divergences from the distance.  If d_T(N_t, N*) <= delta then
+      e^(-delta) N* <= N_t <= e^delta N*, so each pairing Tr[A_j^alpha N_t]
+      is within a factor e^(+-delta) of its limit, and each divergence
+      log(pairing) / (alpha - 1), hence g, their weighted mean, is off by at
+      most delta / (1 - alpha).  It suffices that delta <= eps * (1 - alpha).
+    * Trace normalization.  The raw sweep P -> T_F(P) contracts d_T and the
+      scale-free Hilbert metric d_H by kappa = |1 - 1/alpha|.  d_H <= 2 d_T
+      for any pair, and d_T <= d_H for unit-trace pairs (no unit-trace N
+      lies strictly below another), so delta <= d_H(N_t, N*) = d_H(P_t, P*).
+    * Banach.  A posteriori, delta <= kappa / (1 - kappa) * d_H(P_t, P_{t-1})
+      <= 2 kappa / (1 - kappa) * res_t for any res_t >= d_T between
+      consecutive raw or unit-trace iterates: the exact first move for the
+      first sweep, the O(n) certified bound after it.  A priori, delta <=
+      2 kappa^t / (1 - kappa) * first move.  From I/d the first move is
+      d_T(P_1, P_0), in closed form; from a warm start it is d_T(N_1, N_0),
+      which drops the trace mismatch of P_1 and so shrinks as the start
+      nears N*.
+
+    The sweep stops at the first t where either bound is <= eps * (1 - alpha).
+    The a-priori count is what a fixed-count run from the same start needs,
+    so the a-posteriori stop only ever cuts sweeps.  If neither holds within
+    MAX_INNER_ITERS sweeps the oracle cannot meet its contract and raises
+    :class:`InvalidInput`.
     """
     alpha = problem.order
     kappa = contraction_factor(alpha)
-    d = problem.dim
-    state = petz_augustin_step(problem, initial_state(problem, np.eye(d, dtype=complex) / d))
-    # The start I/d has the power d^(alpha-1) I, so the first move
-    # d_T(P_1, d^(alpha-1) I) needs only the eigenvalues of P_1.
-    mu = np.linalg.eigvalsh(state.power)
-    first_move = float(np.abs(np.log(mu * d ** (1.0 - alpha))).max())
-    iters = 1
-    # Banach bound on the distance to the fixed point, then the sweep count
-    # needed to push it below the effective tolerance.
-    eps_eff = eps * (1.0 - alpha) / 2.0
-    bound = first_move / (1.0 - kappa)
-    if first_move == 0.0 or bound <= eps_eff:
-        total = 1
+    if start is None:
+        d = problem.dim
+        before = initial_state(problem, np.eye(d, dtype=complex) / d)
+        state = petz_augustin_step(problem, before)
+        # The start I/d has the power d^(alpha-1) I, so the first move
+        # d_T(P_1, d^(alpha-1) I) needs only the eigenvalues of P_1.
+        mu = np.linalg.eigvalsh(state.power)
+        first_move = float(np.abs(np.log(mu * d ** (1.0 - alpha))).max())
     else:
-        extra = math.ceil((math.log(bound) - math.log(eps_eff)) / math.log(1.0 / kappa))
-        total = min(max(extra, 1), MAX_INNER_ITERS)
-    while iters < total:
-        state = petz_augustin_step(problem, state)
-        iters += 1
-    return _renormalized(state, alpha), iters
+        # Pairings do not depend on the weights and f_value is recomputed,
+        # so the carried unit-trace state needs no eigendecomposition.
+        before = _iterate(problem, 0, start.matrix, start.power, 1.0)
+        state = petz_augustin_step(problem, before)
+        first_move = thompson_metric_psd(
+            state.power * state.trace ** (alpha - 1.0), before.power
+        )
+    limit = eps * (1.0 - alpha)
+    banach = 2.0 * kappa / (1.0 - kappa)
+    # The a-priori count: the least t with kappa^t * bound <= eps_eff.
+    eps_eff = limit / 2.0
+    bound = first_move / (1.0 - kappa)
+    cap = 1
+    if bound > eps_eff:
+        cap = math.ceil((math.log(bound) - math.log(eps_eff)) / math.log(1.0 / kappa))
+    sweeps = 1
+    residual = first_move
+    # "not <=" so that a NaN residual certifies nothing
+    while sweeps < cap and not banach * residual <= limit:
+        if sweeps >= MAX_INNER_ITERS:
+            raise InvalidInput(
+                f"capacity oracle at order {alpha!r} found no eps={eps!r} certificate "
+                f"within {MAX_INNER_ITERS} inner sweeps"
+            )
+        new = petz_augustin_step(problem, state)
+        residual = _certified_residual(before, state, new, alpha)
+        before, state = state, new
+        sweeps += 1
+    return _renormalized(state, alpha), sweeps
 
 
 def approx_oracle(
@@ -114,12 +164,22 @@ def approx_oracle(
 
 
 def approx_oracle_detailed(
-    problem: CapacityProblem, w: np.ndarray, eps: float = DEFAULT_EPS
+    problem: CapacityProblem,
+    w: np.ndarray,
+    eps: float = DEFAULT_EPS,
+    *,
+    start: IterateState | None = None,
 ) -> OracleResult:
+    """:func:`approx_oracle` plus the sweep count and the inner state.
+
+    ``start`` warm-starts the inner sweep from a unit-trace state of the same
+    problem, such as ``OracleResult.state`` of an earlier call; the default
+    is I/d.  The eps contract does not depend on the start.
+    """
     if not eps > 0:
         raise InvalidInput("oracle accuracy must be positive")
     inner = problem.weighted(w)
-    state, iters = _inner_solve(inner, eps)
+    state, iters = _inner_solve(inner, eps, start)
     alpha = problem.order
     divs = np.array(
         [divergence_from_pairing(float(p), alpha) for p in state.pairings]
@@ -128,12 +188,16 @@ def approx_oracle_detailed(
         raise InvalidInput("inner solve produced non-finite divergences")
     grad_hat = -divs
     g_hat = float(np.dot(inner.weights, grad_hat))
-    return OracleResult(g_hat=g_hat, grad_hat=grad_hat, inner_iters=iters, eps=eps)
+    return OracleResult(g_hat, grad_hat, iters, eps, state)
 
 
 @dataclass(frozen=True)
 class CapacityState:
-    """Outer iterate: weights plus the oracle values evaluated at them."""
+    """Outer iterate: weights plus the oracle values evaluated at them.
+
+    ``inner_state`` is the oracle's unit-trace inner iterate, from which the
+    next step's oracle call starts.
+    """
 
     step: int
     w: np.ndarray
@@ -142,6 +206,7 @@ class CapacityState:
     inner_eps: float
     inner_iters: int = 0
     wall_time_ms: float = 0.0
+    inner_state: IterateState | None = field(default=None, repr=False)
 
 
 def mirror_update(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -171,17 +236,19 @@ def initial_capacity_state(
         inner_eps=eps,
         inner_iters=result.inner_iters,
         wall_time_ms=(perf_counter() - began) * 1e3,
+        inner_state=result.state,
     )
 
 
 def emd_capacity_step(
     problem: CapacityProblem, state: CapacityState, eps: float | None = None
 ) -> CapacityState:
-    """Advance the outer loop one mirror-descent step and re-query the oracle."""
+    """Advance the outer loop one mirror-descent step and re-query the oracle,
+    warm-started from the previous step's inner state."""
     eps = state.inner_eps if eps is None else eps
     w_new = mirror_update(state.w, state.grad_hat)
     began = perf_counter()
-    result = approx_oracle_detailed(problem, w_new, eps)
+    result = approx_oracle_detailed(problem, w_new, eps, start=state.inner_state)
     return CapacityState(
         step=state.step + 1,
         w=w_new,
@@ -190,6 +257,7 @@ def emd_capacity_step(
         inner_eps=eps,
         inner_iters=result.inner_iters,
         wall_time_ms=(perf_counter() - began) * 1e3,
+        inner_state=result.state,
     )
 
 
@@ -222,7 +290,8 @@ def solve_capacity(
     ``eps_schedule`` is either a constant oracle accuracy or a per-step
     sequence of length T + 1 (the final entry covers the closing evaluation at
     w_{T+1}).  The log(n)/T certificate assumes exact gradients; the report
-    carries the inexactness budget 2 * sum(eps) separately.
+    carries the inexactness budget 2 * sum(eps) separately.  Only the last
+    state keeps its ``inner_state``, so the history holds no d x d matrices.
     """
     if T < 1:
         raise InvalidInput("outer iteration count must be >= 1")
@@ -236,6 +305,7 @@ def solve_capacity(
     states = [state]
     for t in range(1, T + 1):
         state = emd_capacity_step(problem, state, eps_list[t])
+        states[-1] = replace(states[-1], inner_state=None)
         states.append(state)
     return CapacityReport(
         c_hat=-state.g_hat,

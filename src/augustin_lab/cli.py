@@ -309,6 +309,7 @@ def run_capacity(cfg: ExperimentConfig) -> int:
         "certificate": report.certificate,
         "eps_budget": report.eps_budget,
         "w_final": report.w_final.tolist(),
+        "inner_sweeps": sum(s.inner_iters for s in report.states),
     }
     print(f"capacity estimate {report.c_hat:.10f} (rate certificate {report.certificate:.3e})")
     ws.finalize()

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from augustin_lab import capacity
+from augustin_lab.augustin import _iterate, contraction_factor, petz_augustin_step
 from augustin_lab.capacity import (
     CapacityProblem,
     approx_oracle,
@@ -14,7 +16,11 @@ from augustin_lab.capacity import (
 )
 from augustin_lab.divergences import ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput, InvalidOrder
-from augustin_lab.linalg import random_density_ensemble, random_density_matrix
+from augustin_lab.linalg import (
+    random_density_ensemble,
+    random_density_matrix,
+    thompson_metric_psd,
+)
 from augustin_lab.oracles import (
     GridSpec,
     finite_diff_curvature,
@@ -98,6 +104,73 @@ class TestOracle:
         p = symmetric_pair()
         with pytest.raises(InvalidInput):
             approx_oracle(p, np.array([0.5, 0.5]), 0.0)
+
+
+def a_priori_sweeps(problem, w, start, eps):
+    """Sweeps a fixed-count run from ``start`` needs for eps-accurate
+    divergences: 2 kappa^t / (1 - kappa) * first move <= eps * (1 - alpha)."""
+    inner = problem.weighted(w)
+    alpha = problem.order
+    kappa = contraction_factor(alpha)
+    first = petz_augustin_step(inner, _iterate(inner, 0, start.matrix, start.power, 1.0))
+    move = thompson_metric_psd(first.power * first.trace ** (alpha - 1.0), start.power)
+    target = eps * (1.0 - alpha) / 2.0
+    if move / (1.0 - kappa) <= target:
+        return 1
+    return max(math.ceil(math.log(move / (1.0 - kappa) / target) / math.log(1.0 / kappa)), 1)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("alpha", [0.6, 0.8])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    def test_eps_contract_along_warm_path(self, alpha, eps):
+        p = CapacityProblem.create(random_density_ensemble(4100, 4, 2), alpha)
+        state = initial_capacity_state(p, eps)
+        for _ in range(20):
+            start = state.inner_state
+            state = emd_capacity_step(p, state)
+            g_ref, grad_ref = approx_oracle(p, state.w, 1e-13)
+            assert abs(state.g_hat - g_ref) <= eps + 1e-13
+            assert np.abs(state.grad_hat - grad_ref).max() <= eps + 1e-13
+            assert 1 <= state.inner_iters <= a_priori_sweeps(p, state.w, start, eps)
+
+    def test_warm_start_cuts_sweeps(self):
+        p = CapacityProblem.create(random_density_ensemble(4101, 4, 2), 0.6)
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        cold = approx_oracle_detailed(p, w, 1e-9)
+        nearby = mirror_update(w, np.array([1e-3, 0.0, -1e-3, 0.0]))
+        warm = approx_oracle_detailed(p, nearby, 1e-9, start=cold.state)
+        assert warm.inner_iters < approx_oracle_detailed(p, nearby, 1e-9).inner_iters
+        assert np.trace(warm.state.matrix).real == pytest.approx(1.0, abs=1e-14)
+
+    def test_first_move_costs_one_metric_call_when_warm(self, monkeypatch):
+        calls = []
+
+        def counting(u, v):
+            calls.append(1)
+            return thompson_metric_psd(u, v)
+
+        monkeypatch.setattr(capacity, "thompson_metric_psd", counting)
+        p = CapacityProblem.create(random_density_ensemble(4102, 4, 2), 0.8)
+        w = np.full(4, 0.25)
+        result = approx_oracle_detailed(p, w, 1e-9)
+        assert calls == []  # the first move from I/d is closed-form
+        for step in range(1, 6):
+            w = mirror_update(w, result.grad_hat)
+            result = approx_oracle_detailed(p, w, 1e-9, start=result.state)
+            assert len(calls) <= step
+        report = solve_capacity(p, 10, 1e-9)
+        assert len(calls) <= 5 + 10
+        assert [s.inner_state is None for s in report.states] == [True] * 10 + [False]
+
+    def test_no_certificate_by_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(capacity, "MAX_INNER_ITERS", 3)
+        p = CapacityProblem.create(random_density_ensemble(4103, 4, 2), 0.6)
+        with pytest.raises(InvalidInput, match=r"order 0\.6 .*eps=1e-14 .*within 3 inner"):
+            approx_oracle(p, np.full(4, 0.25), 1e-14)
+        # a loose eps is certified within the cap and still answers
+        g, _ = approx_oracle(p, np.full(4, 0.25), 1.0)
+        assert math.isfinite(g)
 
 
 class TestMirrorUpdate:

@@ -139,6 +139,14 @@ class TestExperimentTasks:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["alpha"] == 0.8
 
+    def test_capacity_manifest_counts_inner_sweeps(self, tmp_path):
+        out = tmp_path / "cap"
+        code = main(["capacity", "--n", "3", "--d", "2", "--outer-steps", "4", "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(open(out / "capacity_trace.csv")))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["inner_sweeps"] == sum(int(r["inner_iters"]) for r in rows)
+
     def test_fisher_task(self, tmp_path):
         out = tmp_path / "fish"
         code = main(
