@@ -12,8 +12,8 @@ stretch of rounds in which every seller updates at least once).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +55,19 @@ class FisherMarket:
             raise InvalidInput("seller bounds must lie in [max elasticity, 1)")
         return cls(valuations=a, budgets=w, elasticities=rho, seller_bounds=rho_hat)
 
+    # Built on first use rather than in ``create``: construction stays as
+    # cheap as validation, and a market that never prices pays nothing.
+    @cached_property
+    def _scaled_log_valuations(self) -> np.ndarray:
+        """e_j * log a_jk with e_j = 1/(1-rho_j); -inf where a_jk = 0."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.valuations) / (1.0 - self.elasticities)[:, None]
+
+    @cached_property
+    def _price_exponents(self) -> np.ndarray:
+        """rho_j * e_j = rho_j / (1 - rho_j)."""
+        return self.elasticities / (1.0 - self.elasticities)
+
     @property
     def n_buyers(self) -> int:
         return self.valuations.shape[0]
@@ -87,39 +100,53 @@ def _check_prices(p) -> np.ndarray:
     return p
 
 
+def _spending(market: FisherMarket, p: np.ndarray, rows=slice(None)):
+    """Unnormalised spending shares of the buyers in ``rows`` at prices p.
+
+    Returns ``s = exp(z - m)``, its sum over goods and the row maximum ``m``
+    of ``z_jk = e_j log a_jk - rho_j e_j log p_k``.  Buyer j spends the share
+    ``s_jk / sum_k s_jk`` of its budget on good k, and ``m + log(sum_k s_jk)``
+    is ``log sum_k a_jk^e_j p_k^(-rho_j e_j)``.  Shifting by the row maximum
+    keeps every term finite for elasticities close to 1, where
+    ``a^e * p^(-e)`` overflows.
+    """
+    z = np.multiply.outer(market._price_exponents[rows], -np.log(p))
+    z += market._scaled_log_valuations[rows]
+    m = z.max(axis=-1, keepdims=True)
+    z -= m
+    s = np.exp(z, out=z)
+    return s, s.sum(axis=-1), m[..., 0]
+
+
 def buyer_demand(market: FisherMarket, j: int, p) -> np.ndarray:
     """Utility-maximizing demand of buyer j at prices p (budget exhausted)."""
     p = _check_prices(p)
-    rho = market.elasticities[j]
-    e = 1.0 / (1.0 - rho)
-    av = market.valuations[j] ** e
-    numer = av * p ** (-e)
-    denom = float(av @ p ** (-rho * e))
-    return market.budgets[j] * numer / denom
+    s, total, _ = _spending(market, p, j)
+    return market.budgets[j] / total * s / p
 
 
 def total_demand(market: FisherMarket, p) -> np.ndarray:
-    """Sum of buyer demands; satisfies <p, x(p)> = 1."""
+    """Sum of buyer demands; satisfies <p, x(p)> = 1.
+
+    Uses ``p^(-e) = p^(-rho e) / p``: buyer j demands
+    ``w_j s_jk / (p_k sum_l s_jl)`` of good k, so the sum over buyers is one
+    weighted row sum divided by the prices.
+    """
     p = _check_prices(p)
-    out = np.zeros(market.d_goods)
-    for j in range(market.n_buyers):
-        out += buyer_demand(market, j, p)
-    return out
+    s, total, _ = _spending(market, p)
+    return ((market.budgets / total) @ s) / p
 
 
 def potential(market: FisherMarket, p) -> float:
     """Convex potential whose minimizer is the equilibrium price vector.
 
-    Its gradient is exactly 1 - x(p) coordinatewise.
+    ``sum_k p_k + sum_j w_j (1-rho_j)/rho_j * log sum_k a_jk^e_j p_k^(-rho_j e_j)``;
+    its gradient is exactly 1 - x(p) coordinatewise.
     """
     p = _check_prices(p)
-    total = float(p.sum())
-    for j in range(market.n_buyers):
-        rho = market.elasticities[j]
-        e = 1.0 / (1.0 - rho)
-        av = market.valuations[j] ** e
-        total += market.budgets[j] * (1.0 - rho) / rho * math.log(float(av @ p ** (-rho * e)))
-    return total
+    _, total, m = _spending(market, p)
+    rho = market.elasticities
+    return float(p.sum() + market.budgets * (1.0 - rho) / rho @ (m + np.log(total)))
 
 
 @dataclass(frozen=True)
@@ -147,11 +174,17 @@ def tatonnement_step(market: FisherMarket, state: PriceState, indices) -> PriceS
         raise InvalidInput("update set must be non-empty")
     if idx.min() < 0 or idx.max() >= market.d_goods:
         raise InvalidInput("update set contains an out-of-range good index")
-    x = total_demand(market, state.p)
+    return _reprice(market, state, idx, total_demand(market, state.p))
+
+
+def _reprice(market: FisherMarket, state: PriceState, idx: np.ndarray, x: np.ndarray) -> PriceState:
+    """Move the prices of the sorted, valid goods ``idx`` by the demand x at state.p."""
     p_new = state.p.copy()
     p_new[idx] = state.p[idx] * x[idx] ** (1.0 - market.seller_bounds[idx])
-    if np.any(p_new <= 0) or not np.all(np.isfinite(p_new)):
-        # positivity is preserved analytically; reaching zero is a hard error
+    # positivity is preserved analytically; leaving (0, inf) is a hard error
+    if not np.all(np.isfinite(p_new)):
+        raise NonFinite("price update overflowed to a non-finite value")
+    if np.any(p_new <= 0):
         raise NonFinite("price update underflowed to a non-positive value")
     counts = state.update_counts.copy()
     counts[idx] += 1
@@ -245,18 +278,18 @@ def equilibrium_prices(
     """Long-run equilibrium oracle: synchronous updates until excess demand
     is below ``tol`` in sup norm."""
     state = PriceState.start(np.full(market.d_goods, 1.0 / market.d_goods))
-    everyone = tuple(range(market.d_goods))
-    for _ in range(max_rounds):
+    everyone = np.arange(market.d_goods)
+    while True:
+        # one demand evaluation per round serves both the stop test and the update
         x = total_demand(market, state.p)
-        if np.abs(x - 1.0).max() <= tol:
+        residual = float(np.abs(x - 1.0).max())
+        if residual <= tol:
             return state.p
-        state = tatonnement_step(market, state, everyone)
-    x = total_demand(market, state.p)
-    if np.abs(x - 1.0).max() <= tol:
-        return state.p
-    raise NonFinite(
-        f"equilibrium not reached within {max_rounds} rounds (residual {np.abs(x - 1.0).max():.3e})"
-    )
+        if state.step >= max_rounds:
+            raise NonFinite(
+                f"equilibrium not reached within {max_rounds} rounds (residual {residual:.3e})"
+            )
+        state = _reprice(market, state, everyone, x)
 
 
 def cheung_baseline_step(market: FisherMarket, p) -> np.ndarray:

@@ -1,0 +1,173 @@
+"""The vectorised log-domain demand kernel of the CES Fisher market.
+
+Covers the large-market agreement between total demand, per-buyer demand and
+the potential's gradient, elasticities next to 1 (where the direct form
+``a^e * p^(-e)`` overflows), one demand evaluation per equilibrium round, and
+the ``max rho_hat`` epoch contraction at a thousand buyers.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from augustin_lab import fisher
+from augustin_lab.errors import NonFinite
+from augustin_lab.fisher import (
+    FisherMarket,
+    PriceState,
+    UpdateSchedule,
+    buyer_demand,
+    equilibrium_prices,
+    potential,
+    run_schedule,
+    tatonnement_step,
+    total_demand,
+)
+from augustin_lab.linalg import thompson_metric_vec
+
+
+def thousand_buyer_market(seed, d=50, rho_hat=0.75):
+    rng = np.random.default_rng(seed)
+    return FisherMarket.create(
+        rng.dirichlet(np.ones(d), size=1000),
+        rng.dirichlet(np.ones(1000)),
+        rng.uniform(0.1, 0.7, size=1000),
+        np.full(d, rho_hat),
+    )
+
+
+def near_unit_market():
+    # buyer 0 has e = 1/(1-rho) = 1000: 3^1000 overflows and 0.2^1000 underflows
+    return FisherMarket.create(
+        [[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]], [0.5, 0.5], [0.999, 0.5], np.full(3, 0.999)
+    )
+
+
+class TestThousandBuyers:
+    def test_total_is_sum_of_buyer_demands(self):
+        m = thousand_buyer_market(0)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            p = rng.uniform(0.2, 3.0, size=m.d_goods) / m.d_goods
+            x = total_demand(m, p)
+            summed = sum(buyer_demand(m, j, p) for j in range(m.n_buyers))
+            assert np.abs(x / summed - 1.0).max() <= 1e-13
+            assert p @ x == pytest.approx(1.0, abs=1e-12)
+
+    def test_potential_gradient_is_excess_supply(self):
+        m = thousand_buyer_market(2)
+        p = np.random.default_rng(3).uniform(0.5, 2.0, size=m.d_goods) / m.d_goods
+        x = total_demand(m, p)
+        h = 1e-7
+        for i in range(m.d_goods):
+            e = np.zeros(m.d_goods)
+            e[i] = h
+            fd = (potential(m, p + e) - potential(m, p - e)) / (2 * h)
+            assert fd == pytest.approx(1.0 - x[i], abs=1e-5)
+
+    def test_epoch_contraction_random_coverage(self):
+        m = thousand_buyer_market(4, d=20)
+        p_star = equilibrium_prices(m)
+        assert np.abs(total_demand(m, p_star) - 1.0).max() <= 1e-10
+        epochs = 20
+        sched = UpdateSchedule.random_coverage(m.d_goods, epochs, seed=5)
+        p1 = np.full(m.d_goods, 1.0 / m.d_goods)
+        states, boundaries = run_schedule(m, p1, sched)
+        d0 = thompson_metric_vec(p_star, p1)
+        assert len(boundaries) >= epochs
+        for t, b in enumerate(boundaries[:epochs], start=1):
+            assert thompson_metric_vec(p_star, states[b].p) <= m.rho_hat_max**t * d0 * (1 + 1e-8)
+
+
+class TestNumericalEdges:
+    def test_elasticity_near_one_is_finite(self):
+        m = near_unit_market()
+        # at the second price vector even exp(e log a - rho e log p) overflows
+        for p in (np.array([0.01, 0.01, 0.98]), np.full(3, 1.0 / 3.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = total_demand(m, p)
+                x0 = buyer_demand(m, 0, p)
+                value = potential(m, p)
+            assert np.all(np.isfinite(x)) and np.isfinite(value)
+            assert p @ x == pytest.approx(1.0, abs=1e-12)
+        # nearly linear utility: buyer 0 spends its budget on its best good
+        assert np.abs(x0 - [1.5, 0.0, 0.0]).max() <= 1e-12
+        # buyer 1 (e = 2) spends in proportion to a^2
+        share = np.array([0.04, 0.04, 0.36]) / 0.44
+        assert np.abs(x - x0 - 0.5 * share / p).max() <= 1e-12
+
+    def test_elasticity_near_one_reaches_equilibrium(self):
+        m = near_unit_market()
+        # every seller bound is 0.999, so each round removes about 1e-3 of the
+        # log-distance: the default 2000 rounds are a typed stop, not a NaN
+        with pytest.raises(NonFinite, match="not reached within 2000 rounds"):
+            equilibrium_prices(m)
+        p_star = equilibrium_prices(m, max_rounds=25_000)
+        assert np.abs(total_demand(m, p_star) - 1.0).max() <= 1e-10
+        p1 = np.full(3, 1.0 / 3.0)
+        states, _ = run_schedule(m, p1, UpdateSchedule.synchronous(3, 200))
+        d0 = thompson_metric_vec(p_star, p1)
+        for t, state in enumerate(states):
+            assert thompson_metric_vec(p_star, state.p) <= m.rho_hat_max**t * d0 * (1 + 1e-8)
+
+    def test_zero_valuation_gets_zero_demand(self):
+        m = FisherMarket.create(
+            [[0.0, 0.4, 0.6], [0.5, 0.5, 0.0]], [0.3, 0.7], [0.2, 0.6], np.full(3, 0.6)
+        )
+        p = np.array([0.2, 0.5, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x0 = buyer_demand(m, 0, p)
+            x1 = buyer_demand(m, 1, p)
+            value = potential(m, p)
+        assert x0[0] == 0.0 and x1[2] == 0.0
+        assert np.isfinite(value)
+        assert np.abs(total_demand(m, p) - (x0 + x1)).max() <= 1e-15
+
+    def test_create_builds_no_kernel_terms(self):
+        m = thousand_buyer_market(6)
+        assert "_scaled_log_valuations" not in vars(m)
+        assert "_price_exponents" not in vars(m)
+        total_demand(m, np.full(m.d_goods, 1.0 / m.d_goods))
+        assert "_scaled_log_valuations" in vars(m)
+
+
+class TestDemandPerRound:
+    def _counted(self, monkeypatch):
+        calls = {"demand": 0, "reprice": 0}
+        demand, reprice = fisher.total_demand, fisher._reprice
+
+        def counting_demand(*args):
+            calls["demand"] += 1
+            return demand(*args)
+
+        def counting_reprice(*args):
+            calls["reprice"] += 1
+            return reprice(*args)
+
+        monkeypatch.setattr(fisher, "total_demand", counting_demand)
+        monkeypatch.setattr(fisher, "_reprice", counting_reprice)
+        return calls
+
+    def test_one_evaluation_per_round(self, monkeypatch):
+        m = thousand_buyer_market(7)
+        calls = self._counted(monkeypatch)
+        p_star = equilibrium_prices(m)
+        rounds = calls["reprice"]
+        assert rounds > 0
+        assert calls["demand"] == rounds + 1
+        # the same prices as the public step, bit for bit
+        monkeypatch.undo()
+        state = PriceState.start(np.full(m.d_goods, 1.0 / m.d_goods))
+        for _ in range(rounds):
+            state = tatonnement_step(m, state, range(m.d_goods))
+        assert np.array_equal(state.p, p_star)
+
+    def test_round_cap_counts(self, monkeypatch):
+        m = thousand_buyer_market(8)
+        calls = self._counted(monkeypatch)
+        with pytest.raises(NonFinite, match="within 3 rounds"):
+            equilibrium_prices(m, max_rounds=3)
+        assert calls == {"demand": 4, "reprice": 3}
