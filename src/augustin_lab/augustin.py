@@ -41,6 +41,7 @@ from .divergences import (
 from .errors import DegenerateTrace, InvalidInput, SingularMatrix, Unsupported
 from .linalg import (
     EIG_FLOOR,
+    Spectrum,
     hermitian_eig,
     hermitize,
     matrix_power,
@@ -93,17 +94,21 @@ def _pairings(problem: Problem, power: np.ndarray) -> np.ndarray:
 
 def _spectral_split(problem: Problem, s: np.ndarray):
     """Eigenvalues of S and the map back from values on them.  A vector is its
-    own spectrum; a matrix with an eigenvalue below the relative floor is refused."""
+    own spectrum; a matrix with an eigenvalue below the relative floor is refused.
+
+    S is a positive combination of powers checked at construction and eigh
+    reads one triangle, so S is neither validated nor symmetrized here.  A
+    non-finite S gives NaN eigenvalues, which the solver's finite guard stops.
+    """
     if isinstance(problem, ClassicalAugustinProblem):
         return s, lambda values: values
-    spec = hermitian_eig(s)
-    lam = spec.eigenvalues
-    floor = EIG_FLOOR * max(float(lam.max()), 0.0)
-    if lam.min() <= floor:
+    lam, vecs = np.linalg.eigh(s)  # increasing
+    floor = EIG_FLOOR * max(float(lam[-1]), 0.0)
+    if lam[0] <= floor:
         raise SingularMatrix(
-            f"update combination is numerically singular (min eigenvalue {lam.min():.3e})"
+            f"update combination is numerically singular (min eigenvalue {lam[0]:.3e})"
         )
-    return lam, spec.apply
+    return lam, Spectrum(lam, vecs).apply
 
 
 def apply_T_F(problem: AugustinProblem, u: np.ndarray) -> np.ndarray:
@@ -172,10 +177,17 @@ def _iterate(
     return IterateState(step, q, power, pair, trace, f_value)
 
 
-def initial_state(problem: Problem, q1: np.ndarray) -> IterateState:
+def initial_state(problem: Problem, q1: np.ndarray | IterateState) -> IterateState:
     """Wrap a positive definite starting matrix (a strictly positive vector
-    for a :class:`ClassicalAugustinProblem`) as a step-0 iterate."""
+    for a :class:`ClassicalAugustinProblem`) as a step-0 iterate.
+
+    An :class:`IterateState` of a problem with the same states and order
+    (the weights may differ) is rebuilt from its iterate, power and trace
+    with no eigendecomposition, so a run resumes where it left off.
+    """
     alpha = problem.order
+    if isinstance(q1, IterateState):
+        return _iterate(problem, 0, q1.matrix, q1.power, q1.trace)
     if isinstance(problem, ClassicalAugustinProblem):
         q1 = np.asarray(q1, dtype=float)
         if not np.all(q1 > 0):
@@ -216,21 +228,6 @@ def petz_augustin_step(problem: Problem, state: IterateState) -> IterateState:
     return _iterate(problem, state.step + 1, rebuild(q_vals), p_new, float(q_vals.sum()))
 
 
-def _certified_residual(
-    before: IterateState, carried: IterateState, new: IterateState, alpha: float
-) -> float:
-    """O(n) upper bound on d_T(N_{t+1}, N_t) for the matrix sweep at orders
-    above 1/2 (derivation in :func:`solve_petz_augustin`).
-
-    ``carried`` must be the raw sweep of ``before`` and ``new`` that of
-    ``carried``, so the pairings and traces are the unnormalized ones.
-    """
-    x = np.log(before.pairings / carried.pairings)
-    return abs(1.0 - alpha) * float(
-        np.abs(x / alpha - math.log(new.trace / carried.trace)).max()
-    )
-
-
 # The commuting form runs through the same kernel.
 initial_classical_state = initial_state
 classical_augustin_step = petz_augustin_step
@@ -268,7 +265,7 @@ def _uniform_start(problem: Problem) -> np.ndarray:
 
 def solve_petz_augustin(
     problem: Problem,
-    q1: np.ndarray | None = None,
+    q1: np.ndarray | IterateState | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     *,
@@ -281,7 +278,12 @@ def solve_petz_augustin(
 
     Accepts an :class:`AugustinProblem` (density matrices) or a
     :class:`ClassicalAugustinProblem` (probability vectors); the default start
-    is the maximally mixed state of either form.
+    is the maximally mixed state of either form.  ``q1`` may also be an
+    :class:`IterateState`, such as ``raw_iterates[k]`` of an earlier run, which
+    the run continues from without an eigendecomposition (see
+    :func:`initial_state`).  Only its first residual differs from the
+    uninterrupted run's: with no predecessor to read pairings from, it is
+    exact.
 
     The residual, which is both the stopping rule and the trace's
     ``residual_thompson`` column, is exact for the vector form and for the
@@ -351,7 +353,10 @@ def solve_petz_augustin(
             if certified and before is not None:
                 # The O(n) bound above.  A guaranteed run carries its iterates
                 # unnormalized, so carried is exactly the sweep of before.
-                residual = _certified_residual(before, carried, new, alpha)
+                x = np.log(before.pairings / carried.pairings)
+                residual = abs(1.0 - alpha) * float(
+                    np.abs(x / alpha - math.log(new.trace / carried.trace)).max()
+                )
             else:
                 # exact: the vector form, orders at or below 1/2, and the
                 # first sweep, which has no predecessor to read pairings from
@@ -359,7 +364,13 @@ def solve_petz_augustin(
                     new.power * new.trace ** (alpha - 1.0),
                     carried.power * carried.trace ** (alpha - 1.0),
                 )
-        except (SingularMatrix, DegenerateTrace, InvalidInput, FloatingPointError):
+        except (
+            SingularMatrix,
+            DegenerateTrace,
+            InvalidInput,
+            FloatingPointError,
+            np.linalg.LinAlgError,
+        ):
             reason = STOP_NON_FINITE
             break
         wall_time_ms = (perf_counter() - began) * 1e3

@@ -18,17 +18,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .augustin import (
+    STOP_NON_FINITE,
+    STOP_RESIDUAL,
     IterateState,
     contraction_factor,
-    initial_state,
-    petz_augustin_step,
-    _certified_residual,
-    _iterate,
+    solve_petz_augustin,
     _renormalized,
 )
 from .divergences import AugustinProblem, _check_weights, divergence_from_pairing
-from .errors import InvalidInput, InvalidOrder
-from .linalg import thompson_metric_psd
+from .errors import InvalidInput, InvalidOrder, NonFinite
 from .trace import write_csv
 
 DEFAULT_EPS = 1e-9
@@ -78,83 +76,6 @@ class OracleResult(NamedTuple):
     state: IterateState  # unit-trace inner iterate, a warm start for the next call
 
 
-def _inner_solve(
-    problem: AugustinProblem, eps: float, start: IterateState | None = None
-) -> tuple[IterateState, int]:
-    """Run the fixed-point sweep until its divergences are eps-accurate.
-
-    The sweep starts from ``start``, a unit-trace iterate (typically the
-    answer for nearby weights), or from I/d.  Let P_t be the raw (1-alpha)
-    powers of the iterates Q_t, N_t = P_t * (Tr Q_t)^(alpha-1) the powers of
-    the unit-trace iterates and N* the fixed point's.  The error argument has
-    three steps.
-
-    * Divergences from the distance.  If d_T(N_t, N*) <= delta then
-      e^(-delta) N* <= N_t <= e^delta N*, so each pairing Tr[A_j^alpha N_t]
-      is within a factor e^(+-delta) of its limit, and each divergence
-      log(pairing) / (alpha - 1), hence g, their weighted mean, is off by at
-      most delta / (1 - alpha).  It suffices that delta <= eps * (1 - alpha).
-    * Trace normalization.  The raw sweep P -> T_F(P) contracts d_T and the
-      scale-free Hilbert metric d_H by kappa = |1 - 1/alpha|.  d_H <= 2 d_T
-      for any pair, and d_T <= d_H for unit-trace pairs (no unit-trace N
-      lies strictly below another), so delta <= d_H(N_t, N*) = d_H(P_t, P*).
-    * Banach.  A posteriori, delta <= kappa / (1 - kappa) * d_H(P_t, P_{t-1})
-      <= 2 kappa / (1 - kappa) * res_t for any res_t >= d_T between
-      consecutive raw or unit-trace iterates: the exact first move for the
-      first sweep, the O(n) certified bound after it.  A priori, delta <=
-      2 kappa^t / (1 - kappa) * first move.  From I/d the first move is
-      d_T(P_1, P_0), in closed form; from a warm start it is d_T(N_1, N_0),
-      which drops the trace mismatch of P_1 and so shrinks as the start
-      nears N*.
-
-    The sweep stops at the first t where either bound is <= eps * (1 - alpha).
-    The a-priori count is what a fixed-count run from the same start needs,
-    so the a-posteriori stop only ever cuts sweeps.  If neither holds within
-    MAX_INNER_ITERS sweeps the oracle cannot meet its contract and raises
-    :class:`InvalidInput`.
-    """
-    alpha = problem.order
-    kappa = contraction_factor(alpha)
-    if start is None:
-        d = problem.dim
-        before = initial_state(problem, np.eye(d, dtype=complex) / d)
-        state = petz_augustin_step(problem, before)
-        # The start I/d has the power d^(alpha-1) I, so the first move
-        # d_T(P_1, d^(alpha-1) I) needs only the eigenvalues of P_1.
-        mu = np.linalg.eigvalsh(state.power)
-        first_move = float(np.abs(np.log(mu * d ** (1.0 - alpha))).max())
-    else:
-        # Pairings do not depend on the weights and f_value is recomputed,
-        # so the carried unit-trace state needs no eigendecomposition.
-        before = _iterate(problem, 0, start.matrix, start.power, 1.0)
-        state = petz_augustin_step(problem, before)
-        first_move = thompson_metric_psd(
-            state.power * state.trace ** (alpha - 1.0), before.power
-        )
-    limit = eps * (1.0 - alpha)
-    banach = 2.0 * kappa / (1.0 - kappa)
-    # The a-priori count: the least t with kappa^t * bound <= eps_eff.
-    eps_eff = limit / 2.0
-    bound = first_move / (1.0 - kappa)
-    cap = 1
-    if bound > eps_eff:
-        cap = math.ceil((math.log(bound) - math.log(eps_eff)) / math.log(1.0 / kappa))
-    sweeps = 1
-    residual = first_move
-    # "not <=" so that a NaN residual certifies nothing
-    while sweeps < cap and not banach * residual <= limit:
-        if sweeps >= MAX_INNER_ITERS:
-            raise InvalidInput(
-                f"capacity oracle at order {alpha!r} found no eps={eps!r} certificate "
-                f"within {MAX_INNER_ITERS} inner sweeps"
-            )
-        new = petz_augustin_step(problem, state)
-        residual = _certified_residual(before, state, new, alpha)
-        before, state = state, new
-        sweeps += 1
-    return _renormalized(state, alpha), sweeps
-
-
 def approx_oracle(
     problem: CapacityProblem, w: np.ndarray, eps: float = DEFAULT_EPS
 ) -> tuple[float, np.ndarray]:
@@ -172,15 +93,54 @@ def approx_oracle_detailed(
 ) -> OracleResult:
     """:func:`approx_oracle` plus the sweep count and the inner state.
 
-    ``start`` warm-starts the inner sweep from a unit-trace state of the same
-    problem, such as ``OracleResult.state`` of an earlier call; the default
-    is I/d.  The eps contract does not depend on the start.
+    The inner sweep is one :func:`solve_petz_augustin` run.  ``start``
+    warm-starts it from a unit-trace state of the same problem, such as
+    ``OracleResult.state`` of an earlier call; the default is I/d.  The eps
+    contract does not depend on the start.  Let P_t be the raw (1-alpha)
+    powers of the iterates Q_t, N_t = P_t * (Tr Q_t)^(alpha-1) the powers of
+    the unit-trace iterates and N* the fixed point's.  The error argument has
+    three steps.
+
+    * Divergences from the distance.  If d_T(N_t, N*) <= delta then
+      e^(-delta) N* <= N_t <= e^delta N*, so each pairing Tr[A_j^alpha N_t]
+      is within a factor e^(+-delta) of its limit, and each divergence
+      log(pairing) / (alpha - 1), hence g, their weighted mean, is off by at
+      most delta / (1 - alpha).  It suffices that delta <= eps * (1 - alpha).
+    * Trace normalization.  The raw sweep P -> T_F(P) contracts d_T and the
+      scale-free Hilbert metric d_H by kappa = |1 - 1/alpha|.  d_H <= 2 d_T
+      for any pair, and d_T <= d_H for unit-trace pairs (no unit-trace N
+      lies strictly below another), so delta <= d_H(N_t, N*) = d_H(P_t, P*).
+    * Banach.  delta <= kappa / (1 - kappa) * d_H(P_t, P_{t-1})
+      <= 2 kappa / (1 - kappa) * res_t for any res_t >= d_T between
+      consecutive raw or unit-trace iterates: the solver's exact first move
+      d_T(N_1, N_0) for the first sweep, its O(n) certified bound after it.
+
+    So the run stops at the first t with 2 kappa / (1 - kappa) * res_t <=
+    eps * (1 - alpha).  If that does not happen within MAX_INNER_ITERS
+    sweeps the oracle cannot meet its contract and raises
+    :class:`InvalidInput`; a run that stops on non-finite values raises
+    :class:`NonFinite`.
     """
     if not eps > 0:
         raise InvalidInput("oracle accuracy must be positive")
     inner = problem.weighted(w)
-    state, iters = _inner_solve(inner, eps, start)
     alpha = problem.order
+    kappa = contraction_factor(alpha)
+    report = solve_petz_augustin(
+        inner,
+        start,
+        max_iter=MAX_INNER_ITERS,
+        residual_tol=eps * (1.0 - alpha) * (1.0 - kappa) / (2.0 * kappa),
+        keep_iterates=True,
+    )
+    if report.stop_reason == STOP_NON_FINITE:
+        raise NonFinite(f"capacity oracle at order {alpha!r}: inner sweep went non-finite")
+    if report.stop_reason != STOP_RESIDUAL:
+        raise InvalidInput(
+            f"capacity oracle at order {alpha!r} found no eps={eps!r} certificate "
+            f"within {MAX_INNER_ITERS} inner sweeps"
+        )
+    state = _renormalized(report.raw_iterates[-1], alpha)
     divs = np.array(
         [divergence_from_pairing(float(p), alpha) for p in state.pairings]
     )
@@ -188,7 +148,7 @@ def approx_oracle_detailed(
         raise InvalidInput("inner solve produced non-finite divergences")
     grad_hat = -divs
     g_hat = float(np.dot(inner.weights, grad_hat))
-    return OracleResult(g_hat, grad_hat, iters, eps, state)
+    return OracleResult(g_hat, grad_hat, state.step, eps, state)
 
 
 @dataclass(frozen=True)

@@ -33,19 +33,20 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition with eigenvalues sorted in non-increasing order."""
+    """Eigendecomposition of a Hermitian matrix."""
 
-    eigenvalues: np.ndarray  # shape (d,), real, non-increasing
+    eigenvalues: np.ndarray  # shape (d,), real
     eigenvectors: np.ndarray  # shape (d, d), columns match eigenvalues
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Reassemble sum_i values[i] * u_i u_i^*."""
+        """Reassemble sum_i values[i] * u_i u_i^*; Hermitian up to rounding."""
         v = self.eigenvectors
-        return hermitize((v * values) @ v.conj().T)
+        return (v * values) @ v.conj().T
 
 
 def hermitian_eig(q: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted in
+    non-increasing order."""
     q = hermitize(q)
     w, v = np.linalg.eigh(q)
     return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())

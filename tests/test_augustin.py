@@ -238,6 +238,38 @@ class TestSolver:
         assert not report.converged
         assert len(report.iterates) == 3  # init + the two finite sweeps
 
+        # a NaN combination reaches the unvalidated eigh of the sweep
+        monkeypatch.setattr(augustin, "petz_augustin_step", petz_augustin_step)
+        combination = augustin._combination
+        calls = []
+
+        def nan_at_sweep_3(problem, pairings):
+            calls.append(1)
+            s = combination(problem, pairings)
+            return np.full_like(s, np.nan) if len(calls) == 3 else s
+
+        monkeypatch.setattr(augustin, "_combination", nan_at_sweep_3)
+        report = solve_petz_augustin(p, max_iter=10, residual_tol=0.0)
+        assert report.stop_reason == STOP_NON_FINITE
+        assert len(report.iterates) == 3
+        assert np.all(np.isfinite(report.final))
+
+        # a LAPACK that refuses the NaN matrix instead of returning NaN
+        # eigenvalues stops the run the same way
+        eigh = np.linalg.eigh
+
+        def refusing_eigh(a, *args, **kwargs):
+            if np.isnan(a).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", refusing_eigh)
+        calls.clear()
+        report = solve_petz_augustin(p, max_iter=10, residual_tol=0.0)
+        assert report.stop_reason == STOP_NON_FINITE
+        assert len(report.iterates) == 3
+        assert np.all(np.isfinite(report.final))
+
     def test_reference_distance_not_timed(self, monkeypatch):
         # the reference distance is bookkeeping, not sweep work: a slow metric
         # may only show in the first sweep's time, whose residual is exact

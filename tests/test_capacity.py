@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from augustin_lab import capacity
+from augustin_lab import augustin, capacity
 from augustin_lab.augustin import _iterate, contraction_factor, petz_augustin_step
 from augustin_lab.capacity import (
     CapacityProblem,
@@ -150,17 +150,18 @@ class TestWarmStart:
             calls.append(1)
             return thompson_metric_psd(u, v)
 
-        monkeypatch.setattr(capacity, "thompson_metric_psd", counting)
+        # the solver's exact first residual is the only metric call of a run
+        monkeypatch.setattr(augustin, "thompson_metric_psd", counting)
         p = CapacityProblem.create(random_density_ensemble(4102, 4, 2), 0.8)
         w = np.full(4, 0.25)
         result = approx_oracle_detailed(p, w, 1e-9)
-        assert calls == []  # the first move from I/d is closed-form
+        assert len(calls) == 1
         for step in range(1, 6):
             w = mirror_update(w, result.grad_hat)
             result = approx_oracle_detailed(p, w, 1e-9, start=result.state)
-            assert len(calls) <= step
+            assert len(calls) == 1 + step
         report = solve_capacity(p, 10, 1e-9)
-        assert len(calls) <= 5 + 10
+        assert len(calls) == 6 + 11
         assert [s.inner_state is None for s in report.states] == [True] * 10 + [False]
 
     def test_no_certificate_by_the_cap_raises(self, monkeypatch):
