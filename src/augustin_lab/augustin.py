@@ -74,13 +74,17 @@ def contraction_factor(alpha: float) -> float:
 # its own spectrum and its powers are element-wise (see _spectral_split).
 
 
-def _combination(problem: Problem, pairings: np.ndarray) -> np.ndarray:
+def _coefficients(problem: Problem, pairings: np.ndarray) -> np.ndarray:
+    """The sweep's coefficients c_j = w_j / pairing_j."""
     if np.any(pairings <= EIG_FLOOR):
         raise DegenerateTrace(
             f"trace pairing collapsed (min {pairings.min():.3e}); operator undefined"
         )
+    return problem.weights / pairings
+
+
+def _combination(problem: Problem, coeff: np.ndarray) -> np.ndarray:
     vector = isinstance(problem, ClassicalAugustinProblem)
-    coeff = problem.weights / pairings
     return np.tensordot(coeff, problem.point_powers if vector else problem.state_powers, axes=1)
 
 
@@ -114,7 +118,7 @@ def _spectral_split(problem: Problem, s: np.ndarray):
 def apply_T_F(problem: AugustinProblem, u: np.ndarray) -> np.ndarray:
     """Apply the contraction operator to a positive definite matrix U."""
     u = hermitize(u)
-    s = _combination(problem, _pairings(problem, u))
+    s = _combination(problem, _coefficients(problem, _pairings(problem, u)))
     alpha = problem.order
     return matrix_power(s, (1.0 - alpha) / alpha)
 
@@ -124,7 +128,7 @@ def apply_T_f(problem: ClassicalAugustinProblem, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if not np.all(u > 0):
         raise InvalidInput("operator argument must be strictly positive")
-    s = _combination(problem, _pairings(problem, u))
+    s = _combination(problem, _coefficients(problem, _pairings(problem, u)))
     alpha = problem.order
     return s ** ((1.0 - alpha) / alpha)
 
@@ -140,8 +144,10 @@ class IterateState:
 
     ``matrix`` is the raw (possibly non-unit-trace) iterate Q_t (a positive
     vector in the commuting form), ``power`` its cached (1-alpha) power,
-    ``pairings`` the vector Tr[A_j^alpha Q_t^(1-alpha)], and ``f_value`` the
-    objective at the trace-normalized iterate.
+    ``pairings`` the vector Tr[A_j^alpha Q_t^(1-alpha)], ``f_value`` the
+    objective at the trace-normalized iterate, and ``coefficients`` the c_j
+    with Q_t = (sum_j c_j A_j^alpha)^(1/alpha) that it was swept from
+    (``None`` for a start given as a matrix or vector).
     """
 
     step: int
@@ -150,6 +156,7 @@ class IterateState:
     pairings: np.ndarray
     trace: float
     f_value: float
+    coefficients: np.ndarray | None
 
     @property
     def normalized(self) -> np.ndarray:
@@ -167,14 +174,14 @@ class IterateState:
 
 
 def _iterate(
-    problem: Problem, step: int, q: np.ndarray, power: np.ndarray, trace: float
+    problem: Problem, step: int, q: np.ndarray, power: np.ndarray, trace: float, coeff=None
 ) -> IterateState:
     pair = _pairings(problem, power)
     # F(Q/trace) = sum_j w_j log(pairing_j) / (alpha-1) + log(trace)
     f_value = weighted_divergence(problem.weights, pair, problem.order)
     if f_value != INF:
         f_value += math.log(trace)
-    return IterateState(step, q, power, pair, trace, f_value)
+    return IterateState(step, q, power, pair, trace, f_value, coeff)
 
 
 def initial_state(problem: Problem, q1: np.ndarray | IterateState) -> IterateState:
@@ -182,13 +189,24 @@ def initial_state(problem: Problem, q1: np.ndarray | IterateState) -> IterateSta
     for a :class:`ClassicalAugustinProblem`) as a step-0 iterate.
 
     An :class:`IterateState` of a problem with the same states and order
-    (the weights may differ) is rebuilt from its iterate, power and trace
-    with no eigendecomposition, so a run resumes where it left off.
+    (the weights may differ) is rebuilt from its iterate, power, trace and
+    coefficients with no eigendecomposition, so a run resumes where it left
+    off and its first residual is the solver's O(n) bound; one of another
+    dimension or number of states raises :class:`InvalidInput`.
     """
     alpha = problem.order
+    vector = isinstance(problem, ClassicalAugustinProblem)
     if isinstance(q1, IterateState):
-        return _iterate(problem, 0, q1.matrix, q1.power, q1.trace)
-    if isinstance(problem, ClassicalAugustinProblem):
+        shape = (problem.dim,) if vector else (problem.dim, problem.dim)
+        if q1.matrix.shape != shape:
+            raise InvalidInput(f"iterate of shape {q1.matrix.shape} cannot start a {shape} problem")
+        if q1.coefficients is not None and q1.coefficients.shape != (problem.n,):
+            raise InvalidInput(
+                f"iterate built from {q1.coefficients.size} states cannot start a problem "
+                f"with {problem.n}"
+            )
+        return _iterate(problem, 0, q1.matrix, q1.power, q1.trace, q1.coefficients)
+    if vector:
         q1 = np.asarray(q1, dtype=float)
         if not np.all(q1 > 0):
             raise InvalidInput("starting vector must be strictly positive")
@@ -203,6 +221,7 @@ def _renormalized(state: IterateState, alpha: float) -> IterateState:
     if state.trace == 1.0:
         return state
     g = state.trace ** (alpha - 1.0)
+    c = state.coefficients
     return IterateState(
         step=state.step,
         matrix=state.matrix / state.trace,
@@ -210,6 +229,7 @@ def _renormalized(state: IterateState, alpha: float) -> IterateState:
         pairings=state.pairings * g,
         trace=1.0,
         f_value=state.f_value,
+        coefficients=None if c is None else c * state.trace**-alpha,
     )
 
 
@@ -221,11 +241,12 @@ def petz_augustin_step(problem: Problem, state: IterateState) -> IterateState:
     produced as by-products.
     """
     alpha = problem.order
-    lam, rebuild = _spectral_split(problem, _combination(problem, state.pairings))
+    coeff = _coefficients(problem, state.pairings)
+    lam, rebuild = _spectral_split(problem, _combination(problem, coeff))
     # T_F output is s^((1-alpha)/alpha); the iterate is its 1/(1-alpha) power.
     q_vals = lam ** (1.0 / alpha)
     p_new = rebuild(lam ** ((1.0 - alpha) / alpha))
-    return _iterate(problem, state.step + 1, rebuild(q_vals), p_new, float(q_vals.sum()))
+    return _iterate(problem, state.step + 1, rebuild(q_vals), p_new, float(q_vals.sum()), coeff)
 
 
 # The commuting form runs through the same kernel.
@@ -240,7 +261,7 @@ classical_augustin_step = petz_augustin_step
 
 @dataclass
 class SolveReport:
-    """Outcome of a fixed-point run: trace, final normalized iterate, status.
+    """Outcome of a fixed-point run: trace, last raw iterate, status.
 
     ``distance_bound`` bounds the Thompson distance from ``final``'s
     (1-alpha) power to the fixed point's (both at unit trace); it is ``None``
@@ -248,12 +269,17 @@ class SolveReport:
     """
 
     iterates: IterationTrace
-    final: np.ndarray
+    state: IterateState
     converged: bool
     stop_reason: str
     guaranteed: bool
     raw_iterates: list | None = None
     distance_bound: float | None = None
+
+    @property
+    def final(self) -> np.ndarray:
+        """The last iterate at unit trace."""
+        return self.state.normalized
 
 
 def _uniform_start(problem: Problem) -> np.ndarray:
@@ -281,26 +307,26 @@ def solve_petz_augustin(
     is the maximally mixed state of either form.  ``q1`` may also be an
     :class:`IterateState`, such as ``raw_iterates[k]`` of an earlier run, which
     the run continues from without an eigendecomposition (see
-    :func:`initial_state`).  Only its first residual differs from the
-    uninterrupted run's: with no predecessor to read pairings from, it is
-    exact.
+    :func:`initial_state`).
 
     The residual, which is both the stopping rule and the trace's
     ``residual_thompson`` column, is exact for the vector form and for the
-    first sweep.  For the matrix form at orders above 1/2 every later sweep
-    reports an upper bound that costs O(n).  Let N_t = (Q_t / Tr Q_t)^(1-alpha)
-    be the unit-trace powered iterates, pi_t the raw pairings and tr_t the raw
-    traces.  Then Q_{t+1} = S_t^(1/alpha) with
-    S_t = sum_j (w_j / pi_t,j) A_j^alpha, so
-    N_{t+1} = S_t^((1-alpha)/alpha) * tr_{t+1}^(alpha-1).  With
-    x_j = log(pi_{t-1,j} / pi_t,j), the coefficient ratios give
-    e^(min x) S_{t-1} <= S_t <= e^(max x) S_{t-1} (Thompson 1963); since
-    |1-alpha|/alpha <= 1 for alpha >= 1/2, Loewner-Heinz carries the order
-    through the power (reversing it for alpha > 1).  Reading off both sides:
+    first sweep from a start given as a matrix.  For the matrix form at
+    orders above 1/2 every other sweep reports an upper bound that costs
+    O(n).  Let N_t = (Q_t / Tr Q_t)^(1-alpha) be the unit-trace powered
+    iterates, pi_t the raw pairings and tr_t the raw traces.  Each iterate
+    carries the coefficients c_t of the combination it was swept from,
+    Q_t = S_t^(1/alpha) with S_t = sum_j c_t,j A_j^alpha, and a sweep sets
+    c_{t+1,j} = w_j / pi_t,j, so N_{t+1} = S_{t+1}^((1-alpha)/alpha) *
+    tr_{t+1}^(alpha-1).  With x_j = log(c_{t+1,j} / c_t,j), the coefficient
+    ratios give e^(min x) S_t <= S_{t+1} <= e^(max x) S_t (Thompson 1963)
+    whatever weights built S_t; since |1-alpha|/alpha <= 1 for alpha >= 1/2,
+    Loewner-Heinz carries the order through the power (reversing it for
+    alpha > 1).  Reading off both sides:
 
         d_T(N_{t+1}, N_t) <= |1-alpha| * max_j |x_j / alpha - log(tr_{t+1} / tr_t)|.
 
-    By the triangle inequality this is at most r * delta_t +
+    Under fixed weights the triangle inequality bounds this by r * delta_t +
     |1-alpha| * |log(tau_t / tau_{t-1})|, with r = |1-alpha|/alpha, delta_t the
     largest |log-ratio| of the unit-trace pairings pi_t * tr_t^(alpha-1) and
     tau_t = tr_{t+1} * tr_t^((1-alpha)/alpha); unlike that form it is 0 when
@@ -344,22 +370,20 @@ def solve_petz_augustin(
         distance = metric(ref_power, state.power * state.trace ** (alpha - 1.0))
     rows.append(TraceRow(0, state.f_value, state.trace, None, distance, 0.0))
     reason = STOP_MAX_ITER
-    before = None  # the iterate the carried one was swept from
     for _ in range(max_iter):
         carried = state if guaranteed else _renormalized(state, alpha)
         began = perf_counter()
         try:
             new = petz_augustin_step(problem, carried)
-            if certified and before is not None:
-                # The O(n) bound above.  A guaranteed run carries its iterates
-                # unnormalized, so carried is exactly the sweep of before.
-                x = np.log(before.pairings / carried.pairings)
+            if certified and carried.coefficients is not None:
+                # the O(n) bound above
+                x = np.log(new.coefficients / carried.coefficients)
                 residual = abs(1.0 - alpha) * float(
                     np.abs(x / alpha - math.log(new.trace / carried.trace)).max()
                 )
             else:
                 # exact: the vector form, orders at or below 1/2, and the
-                # first sweep, which has no predecessor to read pairings from
+                # first sweep from a start given as a matrix
                 residual = metric(
                     new.power * new.trace ** (alpha - 1.0),
                     carried.power * carried.trace ** (alpha - 1.0),
@@ -382,7 +406,7 @@ def solve_petz_augustin(
         ):
             reason = STOP_NON_FINITE
             break
-        before, state = carried, new
+        state = new
         if ref_power is not None:
             distance = metric(ref_power, state.power * state.trace ** (alpha - 1.0))
         rows.append(
@@ -401,7 +425,7 @@ def solve_petz_augustin(
         bound = 2.0 * kappa / (1.0 - kappa) * last
     return SolveReport(
         iterates=rows,
-        final=state.normalized,
+        state=state,
         converged=reason == STOP_RESIDUAL,
         stop_reason=reason,
         guaranteed=guaranteed,

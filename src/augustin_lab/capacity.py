@@ -95,7 +95,8 @@ def approx_oracle_detailed(
 
     The inner sweep is one :func:`solve_petz_augustin` run.  ``start``
     warm-starts it from a unit-trace state of the same problem, such as
-    ``OracleResult.state`` of an earlier call; the default is I/d.  The eps
+    ``OracleResult.state`` of an earlier call, whose carried coefficients
+    give even the first sweep the O(n) bound; the default is I/d.  The eps
     contract does not depend on the start.  Let P_t be the raw (1-alpha)
     powers of the iterates Q_t, N_t = P_t * (Tr Q_t)^(alpha-1) the powers of
     the unit-trace iterates and N* the fixed point's.  The error argument has
@@ -113,7 +114,7 @@ def approx_oracle_detailed(
     * Banach.  delta <= kappa / (1 - kappa) * d_H(P_t, P_{t-1})
       <= 2 kappa / (1 - kappa) * res_t for any res_t >= d_T between
       consecutive raw or unit-trace iterates: the solver's exact first move
-      d_T(N_1, N_0) for the first sweep, its O(n) certified bound after it.
+      d_T(N_1, N_0) on a cold call's first sweep, its O(n) bound otherwise.
 
     So the run stops at the first t with 2 kappa / (1 - kappa) * res_t <=
     eps * (1 - alpha).  If that does not happen within MAX_INNER_ITERS
@@ -131,7 +132,6 @@ def approx_oracle_detailed(
         start,
         max_iter=MAX_INNER_ITERS,
         residual_tol=eps * (1.0 - alpha) * (1.0 - kappa) / (2.0 * kappa),
-        keep_iterates=True,
     )
     if report.stop_reason == STOP_NON_FINITE:
         raise NonFinite(f"capacity oracle at order {alpha!r}: inner sweep went non-finite")
@@ -140,7 +140,7 @@ def approx_oracle_detailed(
             f"capacity oracle at order {alpha!r} found no eps={eps!r} certificate "
             f"within {MAX_INNER_ITERS} inner sweeps"
         )
-    state = _renormalized(report.raw_iterates[-1], alpha)
+    state = _renormalized(report.state, alpha)
     divs = np.array(
         [divergence_from_pairing(float(p), alpha) for p in state.pairings]
     )

@@ -25,6 +25,10 @@ class NonFinite(AugustinLabError, ArithmeticError):
     """A computation produced non-finite values."""
 
 
+class NotConverged(AugustinLabError, ArithmeticError):
+    """An iteration reached its round cap with finite values but short of its tolerance."""
+
+
 class Unsupported(AugustinLabError):
     """The requested configuration is outside what this implementation supports."""
 

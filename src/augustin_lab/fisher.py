@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, NonFinite
+from .errors import InvalidInput, NonFinite, NotConverged
 from .linalg import thompson_metric_vec
 
 
@@ -276,7 +276,7 @@ def equilibrium_prices(
     market: FisherMarket, *, max_rounds: int = 2000, tol: float = 1e-10
 ) -> np.ndarray:
     """Long-run equilibrium oracle: synchronous updates until excess demand
-    is below ``tol`` in sup norm."""
+    is below ``tol`` in sup norm; :class:`NotConverged` after ``max_rounds``."""
     state = PriceState.start(np.full(market.d_goods, 1.0 / market.d_goods))
     everyone = np.arange(market.d_goods)
     while True:
@@ -286,7 +286,7 @@ def equilibrium_prices(
         if residual <= tol:
             return state.p
         if state.step >= max_rounds:
-            raise NonFinite(
+            raise NotConverged(
                 f"equilibrium not reached within {max_rounds} rounds (residual {residual:.3e})"
             )
         state = _reprice(market, state, everyone, x)

@@ -60,7 +60,7 @@ def test_bound_is_at_least_the_exact_residual(n, d, alpha, seed, mix):
     report = solve_petz_augustin(problem, keep_iterates=True)
     reported = report.iterates.column("residual_thompson")[1:]
     exact = exact_residuals(report, alpha)
-    assert reported[0] == exact[0]  # the first sweep has no predecessor
+    assert reported[0] == exact[0]  # a start given as a matrix carries no coefficients
     for bound, value in zip(reported, exact):
         assert bound >= value - 1e-12
 

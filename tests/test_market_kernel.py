@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from augustin_lab import fisher
-from augustin_lab.errors import NonFinite
+from augustin_lab.errors import NonFinite, NotConverged
 from augustin_lab.fisher import (
     FisherMarket,
     PriceState,
@@ -102,7 +102,7 @@ class TestNumericalEdges:
         m = near_unit_market()
         # every seller bound is 0.999, so each round removes about 1e-3 of the
         # log-distance: the default 2000 rounds are a typed stop, not a NaN
-        with pytest.raises(NonFinite, match="not reached within 2000 rounds"):
+        with pytest.raises(NotConverged, match="not reached within 2000 rounds"):
             equilibrium_prices(m)
         p_star = equilibrium_prices(m, max_rounds=25_000)
         assert np.abs(total_demand(m, p_star) - 1.0).max() <= 1e-10
@@ -111,6 +111,17 @@ class TestNumericalEdges:
         d0 = thompson_metric_vec(p_star, p1)
         for t, state in enumerate(states):
             assert thompson_metric_vec(p_star, state.p) <= m.rho_hat_max**t * d0 * (1 + 1e-8)
+
+    def test_price_leaving_the_orthant_is_non_finite(self):
+        # the round cap is NotConverged; only a price outside (0, inf) is NonFinite
+        assert not issubclass(NotConverged, NonFinite)
+        m = near_unit_market()
+        state = PriceState.start(np.full(3, 1.0 / 3.0))
+        everyone = np.arange(3)
+        with pytest.raises(NonFinite, match="overflowed"):
+            fisher._reprice(m, state, everyone, np.array([np.inf, 1.0, 1.0]))
+        with pytest.raises(NonFinite, match="underflowed"):
+            fisher._reprice(m, state, everyone, np.array([0.0, 1.0, 1.0]))
 
     def test_zero_valuation_gets_zero_demand(self):
         m = FisherMarket.create(
@@ -168,6 +179,6 @@ class TestDemandPerRound:
     def test_round_cap_counts(self, monkeypatch):
         m = thousand_buyer_market(8)
         calls = self._counted(monkeypatch)
-        with pytest.raises(NonFinite, match="within 3 rounds"):
+        with pytest.raises(NotConverged, match="within 3 rounds"):
             equilibrium_prices(m, max_rounds=3)
         assert calls == {"demand": 4, "reprice": 3}
