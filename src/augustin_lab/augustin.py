@@ -7,10 +7,11 @@ The central object is the operator
 which is a Thompson-metric contraction with ratio |1 - 1/alpha| for orders in
 (1/2, 1) or (1, inf).  Iterating Q_{t+1} = T_F(Q_t^(1-alpha))^(1/(1-alpha))
 drives Q_t to the minimizer of the weighted divergence objective; each sweep
-costs one eigendecomposition plus n trace pairings.  For the matrix form at
-orders above 1/2 the solver's stopping residual is a certified upper bound
-read off those pairings and the traces, so measuring convergence adds O(n)
-work per sweep rather than a second O(d^3) decomposition.
+costs one eigendecomposition plus n trace pairings.  At orders above 1/2 the
+solver stops on an O(n) certificate read off those pairings and the
+coefficients that built the iterate, so measuring convergence adds no second
+O(d^3) decomposition, and it accelerates the sweep by safeguarded Anderson
+mixing of the n log-pairings, which costs O(n m) per row.
 
 The commuting (vector) specialization runs through the same sweep as its
 diagonal case.  The module also provides the dual-space iteration the sweep
@@ -22,7 +23,7 @@ without a contraction guarantee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
@@ -53,9 +54,15 @@ from .trace import IterationTrace, TraceRow
 STOP_MAX_ITER = "MaxIter"
 STOP_RESIDUAL = "FixedPointResidual"
 STOP_NON_FINITE = "NonFinite"
+STOP_SINGULAR = "SingularCombination"
 
 DEFAULT_MAX_ITER = 200
 DEFAULT_RESIDUAL_TOL = 1e-10
+MIX_DEPTH = 5  # Anderson memory: the last m row-to-row differences
+MIX_START = 3  # mixing starts once the memory holds this many differences
+# A mixed row's F may exceed the previous row's by this much relative to
+# max(1, |F|): the rounding of F itself, far below every monotonicity check.
+F_ROUNDING = 64 * np.finfo(float).eps
 MAX_LOG_SHRINK = -math.log(np.finfo(float).eps)  # Polyak step cap, about 36
 
 Problem = AugustinProblem | ClassicalAugustinProblem
@@ -89,11 +96,15 @@ def _combination(problem: Problem, coeff: np.ndarray) -> np.ndarray:
 
 
 def _pairings(problem: Problem, power: np.ndarray) -> np.ndarray:
-    """Tr[A_j^alpha P] for every j; for vectors, <a_j^alpha, p>."""
-    if isinstance(problem, ClassicalAugustinProblem):
-        return problem.point_powers @ power
-    # Re Tr[A_j^alpha U] for every j; U Hermitian.
-    return np.real(np.einsum("nij,ji->n", problem.state_powers, power))
+    """Tr[A_j^alpha P] for every j (for vectors, <a_j^alpha, p>) as one real
+    GEMV: for Hermitian P, Re Tr[A P] = sum_ik Re A_ik Re P_ik + Im A_ik Im P_ik,
+    so P is not conjugated."""
+    vector = isinstance(problem, ClassicalAugustinProblem)
+    powers = problem.point_powers if vector else problem.state_powers
+    if power.dtype != powers.dtype:
+        # a real start of complex states, or a complex start of real ones
+        power = power.astype(powers.dtype) if np.iscomplexobj(powers) else power.real
+    return powers.view(float).reshape(len(powers), -1) @ power.view(float).ravel()
 
 
 def _spectral_split(problem: Problem, s: np.ndarray):
@@ -107,10 +118,12 @@ def _spectral_split(problem: Problem, s: np.ndarray):
     if isinstance(problem, ClassicalAugustinProblem):
         return s, lambda values: values
     lam, vecs = np.linalg.eigh(s)  # increasing
-    floor = EIG_FLOOR * max(float(lam[-1]), 0.0)
-    if lam[0] <= floor:
+    top = max(float(lam[-1]), 0.0)
+    if lam[0] <= EIG_FLOOR * top:
+        ratio = float(lam[0]) / top if top > 0 else -math.inf
         raise SingularMatrix(
-            f"update combination is numerically singular (min eigenvalue {lam[0]:.3e})"
+            f"update combination is numerically singular: eigenvalue ratio {ratio:.3e} "
+            f"is at or below EIG_FLOOR = {EIG_FLOOR:g}"
         )
     return lam, Spectrum(lam, vecs).apply
 
@@ -139,6 +152,24 @@ def apply_T_f(problem: ClassicalAugustinProblem, u: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class MixingMemory:
+    """The Anderson memory a run carries from row to row.
+
+    ``inputs`` and ``residuals`` hold the last (at most MIX_DEPTH)
+    differences between consecutive rows of the sweep input u = log(w / c)
+    and of the residual log(pi) - u, one n-vector each, oldest first;
+    ``weights`` are the weights they were taken under.  ``active`` turns
+    False, and the differences are dropped, for the rest of the run at the
+    first rejected mix (see :func:`solve_petz_augustin`).
+    """
+
+    inputs: tuple
+    residuals: tuple
+    weights: np.ndarray
+    active: bool = True
+
+
+@dataclass(frozen=True)
 class IterateState:
     """One iterate of the fixed-point sweep, in either problem form.
 
@@ -147,7 +178,10 @@ class IterateState:
     ``pairings`` the vector Tr[A_j^alpha Q_t^(1-alpha)], ``f_value`` the
     objective at the trace-normalized iterate, and ``coefficients`` the c_j
     with Q_t = (sum_j c_j A_j^alpha)^(1/alpha) that it was swept from
-    (``None`` for a start given as a matrix or vector).
+    (``None`` for a start given as a matrix or vector).  ``mixing`` is the
+    solver's Anderson memory at this row (``None`` outside a solver run at
+    an order above 1/2), so a run resumed from this state repeats the rest
+    of the original run.
     """
 
     step: int
@@ -157,6 +191,7 @@ class IterateState:
     trace: float
     f_value: float
     coefficients: np.ndarray | None
+    mixing: MixingMemory | None = None
 
     @property
     def normalized(self) -> np.ndarray:
@@ -173,15 +208,17 @@ class IterateState:
         return self.trace
 
 
+def _f_value(problem: Problem, pairings: np.ndarray, trace: float) -> float:
+    # F(Q/trace) = sum_j w_j log(pairing_j) / (alpha-1) + log(trace)
+    f_value = weighted_divergence(problem.weights, pairings, problem.order)
+    return f_value if f_value == INF else f_value + math.log(trace)
+
+
 def _iterate(
     problem: Problem, step: int, q: np.ndarray, power: np.ndarray, trace: float, coeff=None
 ) -> IterateState:
     pair = _pairings(problem, power)
-    # F(Q/trace) = sum_j w_j log(pairing_j) / (alpha-1) + log(trace)
-    f_value = weighted_divergence(problem.weights, pair, problem.order)
-    if f_value != INF:
-        f_value += math.log(trace)
-    return IterateState(step, q, power, pair, trace, f_value, coeff)
+    return IterateState(step, q, power, pair, trace, _f_value(problem, pair, trace), coeff)
 
 
 def initial_state(problem: Problem, q1: np.ndarray | IterateState) -> IterateState:
@@ -189,10 +226,12 @@ def initial_state(problem: Problem, q1: np.ndarray | IterateState) -> IterateSta
     for a :class:`ClassicalAugustinProblem`) as a step-0 iterate.
 
     An :class:`IterateState` of a problem with the same states and order
-    (the weights may differ) is rebuilt from its iterate, power, trace and
-    coefficients with no eigendecomposition, so a run resumes where it left
-    off and its first residual is the solver's O(n) bound; one of another
-    dimension or number of states raises :class:`InvalidInput`.
+    (the weights may differ) keeps its iterate, power, pairings, trace,
+    coefficients and mixing memory, and only its objective value is
+    recomputed, since the pairings do not depend on the weights; so a run
+    resumes where it left off with no eigendecomposition and no pairing
+    pass.  One of another dimension or number of states raises
+    :class:`InvalidInput`.
     """
     alpha = problem.order
     vector = isinstance(problem, ClassicalAugustinProblem)
@@ -205,7 +244,8 @@ def initial_state(problem: Problem, q1: np.ndarray | IterateState) -> IterateSta
                 f"iterate built from {q1.coefficients.size} states cannot start a problem "
                 f"with {problem.n}"
             )
-        return _iterate(problem, 0, q1.matrix, q1.power, q1.trace, q1.coefficients)
+        f_value = _f_value(problem, q1.pairings, q1.trace)
+        return replace(q1, step=0, f_value=f_value)
     if vector:
         q1 = np.asarray(q1, dtype=float)
         if not np.all(q1 > 0):
@@ -222,13 +262,12 @@ def _renormalized(state: IterateState, alpha: float) -> IterateState:
         return state
     g = state.trace ** (alpha - 1.0)
     c = state.coefficients
-    return IterateState(
-        step=state.step,
+    return replace(
+        state,
         matrix=state.matrix / state.trace,
         power=state.power * g,
         pairings=state.pairings * g,
         trace=1.0,
-        f_value=state.f_value,
         coefficients=None if c is None else c * state.trace**-alpha,
     )
 
@@ -263,9 +302,13 @@ classical_augustin_step = petz_augustin_step
 class SolveReport:
     """Outcome of a fixed-point run: trace, last raw iterate, status.
 
-    ``distance_bound`` bounds the Thompson distance from ``final``'s
-    (1-alpha) power to the fixed point's (both at unit trace); it is ``None``
-    for orders at or below 1/2 and when no sweep completed.
+    ``distance_bound`` is kappa / (1 - kappa) * r, with r the certificate of
+    ``state`` (see :func:`solve_petz_augustin`): it bounds the Thompson
+    distance from ``final``'s (1-alpha) power to the fixed point's (both at
+    unit trace).  It is ``None`` for orders at or below 1/2 and for a start
+    given as a matrix or vector that no sweep completed.  ``rejected_mixes``
+    counts the mixed points the safeguard refused (at most one a run), and
+    ``detail`` says why a ``SingularCombination`` run stopped.
     """
 
     iterates: IterationTrace
@@ -275,6 +318,8 @@ class SolveReport:
     guaranteed: bool
     raw_iterates: list | None = None
     distance_bound: float | None = None
+    rejected_mixes: int = 0
+    detail: str = ""
 
     @property
     def final(self) -> np.ndarray:
@@ -289,6 +334,74 @@ def _uniform_start(problem: Problem) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
 
+def _sweep_residual(problem: Problem, state: IterateState) -> np.ndarray:
+    """v = log(pi) - u, with u = log(w / c) the input the state was swept from."""
+    return np.log(state.pairings * state.coefficients / problem.weights)
+
+
+def _oscillation(v: np.ndarray) -> float:
+    return float(v.max() - v.min())
+
+
+def certificate(problem: Problem, state: IterateState) -> float | None:
+    """The O(n) certificate r = osc(log(w / pi) - log c) of an iterate that
+    carries its coefficients (``None`` otherwise): at orders above 1/2 its
+    unit-trace powered iterate is within kappa / (1 - kappa) * r of the fixed
+    point's in the Thompson metric (see :func:`solve_petz_augustin`)."""
+    if state.coefficients is None:
+        return None
+    return _oscillation(_sweep_residual(problem, state))
+
+
+def _remember(old, old_v, new, new_v, memory: MixingMemory) -> IterateState:
+    """``new`` carrying ``memory`` plus the differences from ``old`` to it."""
+    if memory.active and old_v is not None:
+        keep = 1 - MIX_DEPTH
+        memory = MixingMemory(
+            memory.inputs[keep:] + (np.log(old.coefficients / new.coefficients),),
+            memory.residuals[keep:] + (new_v - old_v,),
+            memory.weights,
+        )
+    # the constructor, not dataclasses.replace: this runs once a row
+    return IterateState(
+        new.step, new.matrix, new.power, new.pairings, new.trace, new.f_value,
+        new.coefficients, memory,
+    )
+
+
+def _guarded_sweep(problem: Problem, state: IterateState, v, kappa: float):
+    """One solver row at an order above 1/2: the Anderson-mixed point when
+    the safeguard accepts it, else the plain sweep.  ``v`` is the state's
+    sweep residual (``None`` for a start without coefficients).  Returns the
+    row, its sweep residual and whether a mix was rejected."""
+    memory = state.mixing
+    rejected = False
+    if memory.active and len(memory.inputs) >= MIX_START:
+        inputs, residuals = np.array(memory.inputs), np.array(memory.residuals)
+        centered = residuals - residuals.mean(axis=1, keepdims=True)
+        gamma = np.linalg.lstsq(centered.T, v - v.mean(), rcond=None)[0]
+        mixed = state.pairings * np.exp(-(inputs + residuals).T @ gamma)
+        try:
+            trial = petz_augustin_step(problem, replace(state, pairings=mixed))
+        except (DegenerateTrace, SingularMatrix):
+            trial = None  # a floor refused the mixed point, not the sweep
+        if trial is not None:
+            trial_v = _sweep_residual(problem, trial)
+            if not (math.isfinite(trial.f_value) and math.isfinite(trial.trace)):
+                return trial, trial_v, False  # the solver stops it as non-finite
+            if (
+                _oscillation(trial_v) <= kappa * _oscillation(v)
+                and trial.f_value <= state.f_value + F_ROUNDING * max(1.0, abs(state.f_value))
+                and (problem.order < 1.0 or trial.trace <= 1.0)
+            ):
+                return _remember(state, v, trial, trial_v, memory), trial_v, False
+        rejected = True
+        memory = MixingMemory((), (), problem.weights, active=False)
+    new = petz_augustin_step(problem, state)
+    new_v = _sweep_residual(problem, new)
+    return _remember(state, v, new, new_v, memory), new_v, rejected
+
+
 def solve_petz_augustin(
     problem: Problem,
     q1: np.ndarray | IterateState | None = None,
@@ -298,54 +411,81 @@ def solve_petz_augustin(
     reference: np.ndarray | None = None,
     keep_iterates: bool = False,
 ) -> SolveReport:
-    """Run the fixed-point sweep from a full-rank start until the Thompson
-    residual between consecutive trace-normalized powered iterates drops below
-    ``residual_tol`` or ``max_iter`` sweeps have been applied.
+    """Run the fixed-point sweep from a full-rank start until it is certified
+    within ``2 * kappa / (1 - kappa) * residual_tol`` of the fixed point (for
+    orders at or below 1/2: until the Thompson residual between consecutive
+    rows drops below ``residual_tol``) or ``max_iter`` rows have been swept.
 
     Accepts an :class:`AugustinProblem` (density matrices) or a
     :class:`ClassicalAugustinProblem` (probability vectors); the default start
     is the maximally mixed state of either form.  ``q1`` may also be an
     :class:`IterateState`, such as ``raw_iterates[k]`` of an earlier run, which
     the run continues from without an eigendecomposition (see
-    :func:`initial_state`).
+    :func:`initial_state`); under the same weights it repeats the rest of
+    that run bit for bit, mixing memory included.
 
-    The residual, which is both the stopping rule and the trace's
-    ``residual_thompson`` column, is exact for the vector form and for the
-    first sweep from a start given as a matrix.  For the matrix form at
-    orders above 1/2 every other sweep reports an upper bound that costs
-    O(n).  Let N_t = (Q_t / Tr Q_t)^(1-alpha) be the unit-trace powered
-    iterates, pi_t the raw pairings and tr_t the raw traces.  Each iterate
-    carries the coefficients c_t of the combination it was swept from,
-    Q_t = S_t^(1/alpha) with S_t = sum_j c_t,j A_j^alpha, and a sweep sets
-    c_{t+1,j} = w_j / pi_t,j, so N_{t+1} = S_{t+1}^((1-alpha)/alpha) *
-    tr_{t+1}^(alpha-1).  With x_j = log(c_{t+1,j} / c_t,j), the coefficient
-    ratios give e^(min x) S_t <= S_{t+1} <= e^(max x) S_t (Thompson 1963)
-    whatever weights built S_t; since |1-alpha|/alpha <= 1 for alpha >= 1/2,
-    Loewner-Heinz carries the order through the power (reversing it for
-    alpha > 1).  Reading off both sides:
+    *The sweep as a map on n numbers.*  A sweep from the pairings pi of an
+    iterate sets c = w / pi, S = sum_j c_j A_j^alpha, Q = S^(1/alpha), and
+    returns Q's pairings.  In u = log(w / c) (the log-pairings swept from)
+    this is a map G(u) = log pi(Q(u)), and every iterate that carries the
+    coefficients c it was swept from is one evaluation of it.  Its sweep
+    residual is v = log(pi) - u = log(pi * c / w) and its certificate
+    r = osc(v), where osc(x) = max x - min x, the same on both forms.
 
-        d_T(N_{t+1}, N_t) <= |1-alpha| * max_j |x_j / alpha - log(tr_{t+1} / tr_t)|.
+    *Certificate.*  Coefficient ratios within [e^a, e^b] give
+    e^a S' <= S <= e^b S' (Thompson 1963), and since kappa = |1-alpha|/alpha
+    <= 1 for alpha > 1/2, Loewner-Heinz carries the order through the power
+    (reversing it for alpha > 1), so every pairing ratio of Q^(1-alpha) and
+    Q'^(1-alpha) lies in an interval of log-width kappa * osc(u - u'): G
+    contracts osc by kappa.  With G(u*) - u* constant at the fixed point,
+    osc(u - u*) <= r + kappa * osc(u - u*), so osc(u - u*) <= r / (1 - kappa).
+    The same sandwich gives d_T(N, N*) <= d_H(N, N*) <= kappa * osc(u - u*)
+    for the unit-trace powered iterates N (d_T <= d_H at unit trace: no
+    unit-trace N lies strictly below another), hence
 
-    Under fixed weights the triangle inequality bounds this by r * delta_t +
-    |1-alpha| * |log(tau_t / tau_{t-1})|, with r = |1-alpha|/alpha, delta_t the
-    largest |log-ratio| of the unit-trace pairings pi_t * tr_t^(alpha-1) and
-    tau_t = tr_{t+1} * tr_t^((1-alpha)/alpha); unlike that form it is 0 when
-    every pairing moves by the same factor.  It assumes exact
-    eigendecompositions: at the eigensolver's rounding floor the computed
-    iterates move by more than the bound says.
+        d_T(N, N*) <= kappa / (1 - kappa) * r,
 
-    ``distance_bound`` on the report is the a-posteriori Banach bound
-    2 * kappa / (1 - kappa) * residual of the last sweep, kappa = |1 - 1/alpha|.
-    On the unit-trace powered iterates d_T <= d_H <= 2 d_T, where d_H is the
-    scale-free Hilbert metric (no unit-trace N can lie strictly below
-    another, since the power map is monotone on eigenvalues), and the
-    normalized sweep contracts d_H by kappa; so
-    d_T(N_t, N*) <= d_H(N_t, N*) <= kappa / (1 - kappa) * d_H(N_t, N_{t-1}).
+    the report's ``distance_bound``.  It costs O(n), holds for any iterate
+    with coefficients (a mixed, warm or resumed one included), and the run
+    stops once r <= 2 * residual_tol.  On a plain run this fires no later
+    than the move stop residual <= residual_tol on the column below did:
+    that residual is at least kappa / 2 times the previous row's r, and r
+    contracts by kappa.  It assumes exact eigendecompositions.
 
-    For orders at or below 1/2 there is no contraction guarantee; the run is
-    labeled accordingly, the carried iterate is re-normalized every sweep to
-    postpone overflow, the residual is exact, and non-finite values stop the
-    run early with the partial trace preserved.
+    *Safeguarded mixing.*  Once its memory holds MIX_START differences, each
+    row applies type-II Anderson mixing (Walker & Ni 2011) with memory
+    MIX_DEPTH to the carried log-pairings: with the last differences dU, dV
+    of u and v between consecutive rows, gamma minimizes the 2-norm of the
+    centered v - dV gamma (osc ignores constants) and the mixed input is
+    log(pi) - (dU + dV) gamma.  The mixed point is swept by the unchanged
+    :func:`petz_augustin_step` and kept only if its r is at most kappa times
+    the previous row's, F does not rise by more than its own rounding,
+    F_ROUNDING * max(1, |F|), the trace stays <= 1 for alpha > 1, and every
+    value is finite (a non-finite one ends the run ``NonFinite``), after
+    Zhang, O'Donoghue & Boyd (2020).  Otherwise, and when a floor refuses
+    the mixed point (a collapsed pairing or a singular combination, which
+    noise differences at the rounding floor can produce), the row is the
+    plain sweep and mixing stays off for the rest of the run.  So every row keeps the
+    plain sweep's invariants, and a run makes at most one eigendecomposition
+    more than it has rows.
+
+    *Residual column.*  ``residual_thompson`` bounds the Thompson distance
+    between consecutive rows' N.  It is exact for the vector form, for orders
+    at or below 1/2 and for the first sweep from a start given as a matrix.
+    Otherwise, with x_j = log(c_new,j / c_old,j) over the two rows'
+    coefficients, the same sandwich reads
+
+        d_T(N_new, N_old) <= |1-alpha| * max_j |x_j / alpha - log(tr_new / tr_old)|,
+
+    which holds whatever weights built either row.  At the eigensolver's
+    rounding floor the computed iterates move by more than it says.
+
+    A combination S with an eigenvalue ratio at or below ``EIG_FLOOR`` stops
+    the run ``SingularCombination``, with the ratio in ``detail``.  For
+    orders at or below 1/2 there is no contraction guarantee and no mixing;
+    the run is labeled accordingly, the carried iterate is re-normalized
+    every sweep to postpone overflow, the residual is exact, and non-finite
+    values stop the run early with the partial trace preserved.
     """
     if max_iter < 1:
         raise InvalidInput("max_iter must be >= 1")
@@ -361,8 +501,17 @@ def solve_petz_augustin(
         metric = thompson_metric_psd
         ref_power = None if reference is None else matrix_power(hermitize(reference), 1.0 - alpha)
     certified = guaranteed and not vector
+    kappa = contraction_factor(alpha)
 
     state = initial_state(problem, q1)
+    v = None
+    if guaranteed:
+        memory = state.mixing
+        if memory is None or not np.array_equal(memory.weights, problem.weights):
+            # no memory, or one of another map: start afresh
+            state = replace(state, mixing=MixingMemory((), (), problem.weights))
+        if state.coefficients is not None:
+            v = _sweep_residual(problem, state)
     rows = IterationTrace()
     raw = [state] if keep_iterates else None
     distance = None
@@ -370,13 +519,20 @@ def solve_petz_augustin(
         distance = metric(ref_power, state.power * state.trace ** (alpha - 1.0))
     rows.append(TraceRow(0, state.f_value, state.trace, None, distance, 0.0))
     reason = STOP_MAX_ITER
+    detail = ""
+    rejected = 0
     for _ in range(max_iter):
         carried = state if guaranteed else _renormalized(state, alpha)
         began = perf_counter()
         try:
-            new = petz_augustin_step(problem, carried)
+            if guaranteed:
+                new, new_v, refused = _guarded_sweep(problem, carried, v, kappa)
+                rejected += refused
+                r = _oscillation(new_v)
+            else:
+                new = petz_augustin_step(problem, carried)
             if certified and carried.coefficients is not None:
-                # the O(n) bound above
+                # the O(n) move bound above
                 x = np.log(new.coefficients / carried.coefficients)
                 residual = abs(1.0 - alpha) * float(
                     np.abs(x / alpha - math.log(new.trace / carried.trace)).max()
@@ -388,13 +544,10 @@ def solve_petz_augustin(
                     new.power * new.trace ** (alpha - 1.0),
                     carried.power * carried.trace ** (alpha - 1.0),
                 )
-        except (
-            SingularMatrix,
-            DegenerateTrace,
-            InvalidInput,
-            FloatingPointError,
-            np.linalg.LinAlgError,
-        ):
+        except SingularMatrix as exc:
+            reason, detail = STOP_SINGULAR, str(exc)
+            break
+        except (DegenerateTrace, InvalidInput, FloatingPointError, np.linalg.LinAlgError):
             reason = STOP_NON_FINITE
             break
         wall_time_ms = (perf_counter() - began) * 1e3
@@ -403,6 +556,7 @@ def solve_petz_augustin(
             and math.isfinite(new.f_value)
             and math.isfinite(new.trace)
             and new.trace > 0
+            and (not guaranteed or math.isfinite(r))
         ):
             reason = STOP_NON_FINITE
             break
@@ -414,15 +568,15 @@ def solve_petz_augustin(
         )
         if keep_iterates:
             raw.append(state)
-        if residual <= residual_tol:
+        if guaranteed:
+            v = new_v
+            done = r <= 2.0 * residual_tol
+        else:
+            done = residual <= residual_tol
+        if done:
             reason = STOP_RESIDUAL
             break
 
-    last = rows.rows[-1].residual_thompson
-    bound = None
-    if guaranteed and last is not None:
-        kappa = contraction_factor(alpha)
-        bound = 2.0 * kappa / (1.0 - kappa) * last
     return SolveReport(
         iterates=rows,
         state=state,
@@ -430,7 +584,9 @@ def solve_petz_augustin(
         stop_reason=reason,
         guaranteed=guaranteed,
         raw_iterates=raw,
-        distance_bound=bound,
+        distance_bound=None if v is None else kappa / (1.0 - kappa) * _oscillation(v),
+        rejected_mixes=rejected,
+        detail=detail,
     )
 
 

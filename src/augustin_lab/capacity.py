@@ -20,13 +20,14 @@ import numpy as np
 from .augustin import (
     STOP_NON_FINITE,
     STOP_RESIDUAL,
+    STOP_SINGULAR,
     IterateState,
     contraction_factor,
     solve_petz_augustin,
     _renormalized,
 )
 from .divergences import AugustinProblem, _check_weights, divergence_from_pairing
-from .errors import InvalidInput, InvalidOrder, NonFinite
+from .errors import InvalidInput, InvalidOrder, NonFinite, SingularMatrix
 from .trace import write_csv
 
 DEFAULT_EPS = 1e-9
@@ -96,31 +97,32 @@ def approx_oracle_detailed(
     The inner sweep is one :func:`solve_petz_augustin` run.  ``start``
     warm-starts it from a unit-trace state of the same problem, such as
     ``OracleResult.state`` of an earlier call, whose carried coefficients
-    give even the first sweep the O(n) bound; the default is I/d.  The eps
-    contract does not depend on the start.  Let P_t be the raw (1-alpha)
+    give even its first row the O(n) certificate; the default is I/d.  The
+    eps contract does not depend on the start.  Let P_t be the raw (1-alpha)
     powers of the iterates Q_t, N_t = P_t * (Tr Q_t)^(alpha-1) the powers of
     the unit-trace iterates and N* the fixed point's.  The error argument has
-    three steps.
+    two steps.
 
     * Divergences from the distance.  If d_T(N_t, N*) <= delta then
       e^(-delta) N* <= N_t <= e^delta N*, so each pairing Tr[A_j^alpha N_t]
       is within a factor e^(+-delta) of its limit, and each divergence
       log(pairing) / (alpha - 1), hence g, their weighted mean, is off by at
       most delta / (1 - alpha).  It suffices that delta <= eps * (1 - alpha).
-    * Trace normalization.  The raw sweep P -> T_F(P) contracts d_T and the
-      scale-free Hilbert metric d_H by kappa = |1 - 1/alpha|.  d_H <= 2 d_T
-      for any pair, and d_T <= d_H for unit-trace pairs (no unit-trace N
-      lies strictly below another), so delta <= d_H(N_t, N*) = d_H(P_t, P*).
-    * Banach.  delta <= kappa / (1 - kappa) * d_H(P_t, P_{t-1})
-      <= 2 kappa / (1 - kappa) * res_t for any res_t >= d_T between
-      consecutive raw or unit-trace iterates: the solver's exact first move
-      d_T(N_1, N_0) on a cold call's first sweep, its O(n) bound otherwise.
+    * Certificate.  The solver's certificate r of an iterate, osc(log(w / pi)
+      - log c) over its pairings pi and the coefficients c it was swept from,
+      bounds d_T(N_t, N*) <= kappa / (1 - kappa) * r, with kappa =
+      |1 - 1/alpha| (see :func:`solve_petz_augustin`).  It costs O(n), holds
+      for the warm start's coefficients under the new weights and for mixed
+      rows alike, and gives the same guarantee as the Banach bound
+      2 kappa / (1 - kappa) * res_t on the move res_t that it replaces.
 
-    So the run stops at the first t with 2 kappa / (1 - kappa) * res_t <=
-    eps * (1 - alpha).  If that does not happen within MAX_INNER_ITERS
-    sweeps the oracle cannot meet its contract and raises
+    So the run stops at the first row with kappa / (1 - kappa) * r <=
+    eps * (1 - alpha), i.e. at the solver's residual_tol = eps * (1 - alpha)
+    * (1 - kappa) / (2 kappa).  If that does not happen within
+    MAX_INNER_ITERS sweeps the oracle cannot meet its contract and raises
     :class:`InvalidInput`; a run that stops on non-finite values raises
-    :class:`NonFinite`.
+    :class:`NonFinite`, and one whose combination is numerically singular
+    raises :class:`SingularMatrix` with the eigenvalue ratio.
     """
     if not eps > 0:
         raise InvalidInput("oracle accuracy must be positive")
@@ -135,6 +137,8 @@ def approx_oracle_detailed(
     )
     if report.stop_reason == STOP_NON_FINITE:
         raise NonFinite(f"capacity oracle at order {alpha!r}: inner sweep went non-finite")
+    if report.stop_reason == STOP_SINGULAR:
+        raise SingularMatrix(f"capacity oracle at order {alpha!r}: {report.detail}")
     if report.stop_reason != STOP_RESIDUAL:
         raise InvalidInput(
             f"capacity oracle at order {alpha!r} found no eps={eps!r} certificate "

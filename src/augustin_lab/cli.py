@@ -289,6 +289,8 @@ def run_fixed_point(cfg: ExperimentConfig) -> int:
         "stop_reason": report.stop_reason,
         "converged": report.converged,
         "reference_stop_reason": reference_report.stop_reason,
+        "distance_bound": report.distance_bound,
+        "rejected_mixes": report.rejected_mixes,
         "final_f": report.iterates.rows[-1].f_value,
         "reference_f": f_ref,
         "wall_time_ms": elapsed,

@@ -1,0 +1,358 @@
+"""The solver at orders above 1/2: it stops on the O(n) oscillation
+certificate, accelerates by safeguarded Anderson mixing of the log-pairings,
+computes the pairings as one real GEMV, and stops a numerically singular
+combination with a typed reason.  The property tests run on inputs that
+stress the numerical floors."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from augustin_lab import augustin
+from augustin_lab.augustin import (
+    STOP_MAX_ITER,
+    STOP_NON_FINITE,
+    STOP_RESIDUAL,
+    STOP_SINGULAR,
+    _pairings,
+    certificate,
+    contraction_factor,
+    initial_state,
+    petz_augustin_step,
+    solve_petz_augustin,
+)
+from augustin_lab.capacity import CapacityProblem, approx_oracle_detailed
+from augustin_lab.divergences import AugustinProblem, ClassicalAugustinProblem
+from augustin_lab.errors import DegenerateTrace, SingularMatrix
+from augustin_lab.linalg import matrix_power, random_density_ensemble, thompson_metric_psd
+
+
+def counting_steps(monkeypatch):
+    calls = []
+
+    def counted(problem, state):
+        calls.append(state.step)
+        return petz_augustin_step(problem, state)
+
+    monkeypatch.setattr(augustin, "petz_augustin_step", counted)
+    return calls
+
+
+def plain(monkeypatch):
+    # a memory that never fills: every row is the paper's sweep
+    monkeypatch.setattr(augustin, "MIX_START", augustin.MIX_DEPTH + 1)
+
+
+def density(rng, d, rank, real=False):
+    g = rng.standard_normal((d, rank))
+    if not real:
+        g = g + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+# ---------------------------------------------------------------------------
+# pairings, carried states and the singular stop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("real_states", [False, True])
+@pytest.mark.parametrize("real_power", [False, True])
+def test_gemv_pairings_match_the_trace(real_states, real_power):
+    rng = np.random.default_rng(5)
+    states = [density(rng, 5, 5, real=real_states) for _ in range(4)]
+    problem = AugustinProblem.create(states, np.full(4, 0.25), 1.5)
+    power = matrix_power(density(rng, 5, 5, real=real_power), -0.5)
+    expected = np.real(np.einsum("nij,ji->n", problem.state_powers, power))
+    got = _pairings(problem, power)
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_resumed_state_reuses_its_pairings():
+    states = random_density_ensemble(61, 3, 4)
+    first = AugustinProblem.create(states, [0.2, 0.3, 0.5], 1.5)
+    other = AugustinProblem.create(states, [0.5, 0.3, 0.2], 1.5)
+    last = solve_petz_augustin(first, max_iter=4, residual_tol=0.0).state
+    start = initial_state(other, last)
+    assert start.pairings is last.pairings and start.step == 0
+    recomputed = initial_state(other, last.matrix)
+    assert start.f_value == pytest.approx(recomputed.f_value, rel=1e-12)
+
+
+def nearpure_problem(alpha):
+    rng = np.random.default_rng(62)
+    d, eps = 4, 1e-6
+    states = [(1 - eps) * density(rng, d, 1) + eps * np.eye(d) / d for _ in range(2)]
+    return AugustinProblem.create(states, [0.5, 0.5], alpha)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 5.0])
+def test_nearpure_combination_stops_singular(alpha):
+    # two near-pure states in dimension 4: the sum of the states passes the
+    # full-rank check, but the alpha power pushes the combination's smallest
+    # eigenvalue to about (1e-6 / 4)^alpha of its largest
+    report = solve_petz_augustin(nearpure_problem(alpha))
+    assert report.stop_reason == STOP_SINGULAR and not report.converged
+    assert "eigenvalue ratio" in report.detail
+    ratio = float(report.detail.split("eigenvalue ratio ")[1].split()[0])
+    assert ratio <= augustin.EIG_FLOOR
+    assert len(report.iterates) == 1 and report.distance_bound is None
+
+
+def test_nearpure_at_a_milder_order_converges():
+    report = solve_petz_augustin(nearpure_problem(1.5))
+    assert report.stop_reason == STOP_RESIDUAL and report.detail == ""
+
+
+def test_oracle_raises_singular_matrix_on_a_singular_combination(monkeypatch):
+    split = augustin._spectral_split
+
+    def deflated(problem, s):
+        # remove the smallest eigenvalue: the real refusal then fires
+        return split(problem, s - np.linalg.eigvalsh(s)[0] * np.eye(len(s)))
+
+    monkeypatch.setattr(augustin, "_spectral_split", deflated)
+    p = CapacityProblem.create(random_density_ensemble(4107, 4, 2), 0.8)
+    with pytest.raises(SingularMatrix, match=r"order 0\.8: .*eigenvalue ratio"):
+        approx_oracle_detailed(p, np.full(4, 0.25), 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# certificate stop and safeguarded mixing
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.8, 1.5, 3.0, 5.0])
+def test_plain_certificate_stop_fires_no_later_than_the_move_stop(alpha, monkeypatch):
+    plain(monkeypatch)
+    problem = AugustinProblem.create(random_density_ensemble(63, 5, 6), np.full(5, 0.2), alpha)
+    run = solve_petz_augustin(problem, max_iter=60, residual_tol=0.0, keep_iterates=True)
+    moves = run.iterates.column("residual_thompson")[1:]
+    certs = [certificate(problem, s) for s in run.raw_iterates[1:]]
+    for tol in (1e-4, 1e-7, 1e-10):
+        move_stop = next(t for t, m in enumerate(moves) if m <= tol)
+        cert_stop = next(t for t, r in enumerate(certs) if r <= 2 * tol)
+        assert cert_stop <= move_stop
+        report = solve_petz_augustin(problem, residual_tol=tol)
+        assert len(report.iterates) == cert_stop + 2
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.5, 5.0])
+def test_mixing_cuts_sweeps_and_keeps_the_certificate(alpha, monkeypatch):
+    rng = np.random.default_rng(64)
+    states = [0.999 * density(rng, 8, 2) + 0.001 * np.eye(8) / 8 for _ in range(6)]
+    problem = AugustinProblem.create(states, np.full(6, 1 / 6), alpha)
+    mixed = solve_petz_augustin(problem)
+    plain(monkeypatch)
+    reference = solve_petz_augustin(problem)
+    assert mixed.converged and reference.converged
+    assert len(mixed.iterates) < len(reference.iterates)
+    ref_power = matrix_power(reference.final, 1.0 - alpha)
+    distance = thompson_metric_psd(matrix_power(mixed.final, 1.0 - alpha), ref_power)
+    assert distance <= mixed.distance_bound + reference.distance_bound + 1e-12
+
+
+def test_a_run_to_the_rounding_floor_pays_one_rejected_mix(monkeypatch):
+    calls = counting_steps(monkeypatch)
+    problem = AugustinProblem.create(random_density_ensemble(65, 6, 8), np.full(6, 1 / 6), 1.5)
+    report = solve_petz_augustin(problem, max_iter=60, residual_tol=0.0)
+    assert report.stop_reason == STOP_MAX_ITER and len(report.iterates) == 61
+    assert report.rejected_mixes == 1
+    assert len(calls) == 61
+    assert not report.state.mixing.active and report.state.mixing.inputs == ()
+
+
+def test_after_a_rejection_every_row_is_the_plain_sweep():
+    problem = AugustinProblem.create(random_density_ensemble(65, 6, 8), np.full(6, 1 / 6), 1.5)
+    report = solve_petz_augustin(problem, max_iter=40, residual_tol=0.0, keep_iterates=True)
+    off = next(k for k, s in enumerate(report.raw_iterates) if not s.mixing.active)
+    assert off > augustin.MIX_START
+    for old, new in zip(report.raw_iterates[off:], report.raw_iterates[off + 1 :]):
+        swept = petz_augustin_step(problem, old)
+        assert np.array_equal(swept.matrix, new.matrix)
+
+
+def test_mixing_memory_of_other_weights_is_dropped():
+    states = random_density_ensemble(66, 4, 5)
+    first = AugustinProblem.create(states, np.full(4, 0.25), 3.0)
+    last = solve_petz_augustin(first, max_iter=8, residual_tol=0.0).state
+    assert len(last.mixing.inputs) == augustin.MIX_DEPTH
+    same = solve_petz_augustin(first, last, max_iter=1, residual_tol=0.0)
+    assert len(same.state.mixing.inputs) == augustin.MIX_DEPTH
+    other = AugustinProblem.create(states, [0.1, 0.2, 0.3, 0.4], 3.0)
+    fresh = solve_petz_augustin(other, last, max_iter=1, residual_tol=0.0)
+    assert len(fresh.state.mixing.inputs) == 1
+    assert np.array_equal(fresh.state.mixing.weights, other.weights)
+
+
+def test_non_finite_mixed_point_ends_the_run(monkeypatch):
+    def blow_up_mixed(problem, state):
+        # the first state whose memory is full enough is the first mixed point
+        new = petz_augustin_step(problem, state)
+        if len(state.mixing.inputs) >= augustin.MIX_START:
+            return replace(new, f_value=math.nan)
+        return new
+
+    monkeypatch.setattr(augustin, "petz_augustin_step", blow_up_mixed)
+    problem = AugustinProblem.create(random_density_ensemble(67, 4, 5), np.full(4, 0.25), 3.0)
+    report = solve_petz_augustin(problem, residual_tol=0.0, max_iter=20)
+    assert report.stop_reason == STOP_NON_FINITE
+    assert len(report.iterates) == augustin.MIX_START + 2
+    assert np.all(np.isfinite(report.final))
+
+
+@pytest.mark.parametrize("refusal", [DegenerateTrace, SingularMatrix])
+def test_a_floor_refusing_the_mixed_point_is_a_rejection(refusal, monkeypatch):
+    # at the rounding floor the mixing differences are noise, and a wild
+    # mixed point can collapse a pairing; the plain sweep carries on
+    refused = []
+
+    def refuse_mixed(problem, state):
+        # the first state with a full enough memory is the first mixed point
+        if len(state.mixing.inputs) >= augustin.MIX_START and not refused:
+            refused.append(state.step)
+            raise refusal("refused")
+        return petz_augustin_step(problem, state)
+
+    monkeypatch.setattr(augustin, "petz_augustin_step", refuse_mixed)
+    problem = AugustinProblem.create(random_density_ensemble(68, 4, 5), np.full(4, 0.25), 3.0)
+    report = solve_petz_augustin(problem, residual_tol=0.0, max_iter=20)
+    assert report.stop_reason == STOP_MAX_ITER and len(report.iterates) == 21
+    assert report.rejected_mixes == 1 and not report.state.mixing.active
+    assert refused == [augustin.MIX_START + 1]
+
+
+@pytest.mark.parametrize("field", ["f_value", "trace"])
+def test_a_mixed_point_that_raises_f_or_the_trace_is_rejected(field, monkeypatch):
+    bumped = []
+
+    def raise_mixed(problem, state):
+        # the first state with a full enough memory is the first mixed point;
+        # lift its F just above the previous row's, or its trace just above 1
+        new = petz_augustin_step(problem, state)
+        if len(state.mixing.inputs) >= augustin.MIX_START and not bumped:
+            bumped.append(state.step)
+            value = state.f_value + 1e-9 if field == "f_value" else 1.0 + 1e-12
+            return replace(new, **{field: value})
+        return new
+
+    monkeypatch.setattr(augustin, "petz_augustin_step", raise_mixed)
+    problem = AugustinProblem.create(random_density_ensemble(69, 4, 5), np.full(4, 0.25), 3.0)
+    report = solve_petz_augustin(problem, residual_tol=0.0, max_iter=12)
+    assert bumped and report.rejected_mixes == 1
+    assert all(r.trace <= 1.0 for r in report.iterates.rows)
+
+
+# ---------------------------------------------------------------------------
+# properties on inputs that stress the numerical floors
+# ---------------------------------------------------------------------------
+
+orders = st.one_of(
+    st.floats(0.55, 0.95),
+    st.floats(1.05, 6.0),
+)
+
+
+@st.composite
+def stressed(draw):
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["rank-deficient", "tiny-weight", "degenerate", "real"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    weights = rng.dirichlet(np.ones(n))
+    if kind == "rank-deficient":
+        # every state misses a direction; their sum does not
+        rank = max(1, min(d - 1, -(-d // n)))
+        states = [density(rng, d, rank) for _ in range(n)]
+    elif kind == "tiny-weight":
+        states = [density(rng, d, d) for _ in range(n)]
+        weights[0] = 1e-9
+        weights /= weights.sum()
+    elif kind == "degenerate":
+        # repeated eigenvalues, and a repeated state
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        spectrum = np.repeat([2.0, 1.0], [d // 2, d - d // 2])
+        states = [(u * (spectrum / spectrum.sum())) @ u.conj().T]
+        states += [density(rng, d, d) for _ in range(n - 2)]
+        states.append(states[-1])
+    else:
+        states = [density(rng, d, d, real=True) for _ in range(n)]
+    return kind, states, weights
+
+
+def rounding_floor(problem, report):
+    """eps * cond(Q)^max(alpha, 1) over the kept rows.  eigh of the
+    combination S = Q^alpha returns its small eigenvalues to an absolute
+    eps * |S|, so the pairings that F and r read are off by about
+    eps * cond(S) relative, and d_T reads Q's own small eigenvalues."""
+    conds = []
+    for s in report.raw_iterates:
+        lam = np.linalg.eigvalsh(s.matrix) if s.matrix.ndim == 2 else s.matrix
+        conds.append(lam.max() / lam.min())
+    return np.finfo(float).eps * max(conds) ** max(problem.order, 1.0)
+
+
+def rows_keep_invariants(problem, report):
+    alpha = problem.order
+    kappa = contraction_factor(alpha)
+    slack = 1e-12 + 100 * rounding_floor(problem, report)
+    rows = report.iterates.rows
+    f = [r.f_value for r in rows]
+    if alpha > 1:
+        assert all(b <= a + slack for a, b in zip(f, f[1:]))
+        assert all(r.trace <= 1.0 + slack for r in rows)
+    certs = [certificate(problem, s) for s in report.raw_iterates if s.coefficients is not None]
+    # r contracts by kappa in exact arithmetic
+    assert all(new <= kappa * old + slack for old, new in zip(certs, certs[1:]))
+    return slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=stressed(), alpha=orders)
+def test_stressed_runs_keep_the_invariants_or_stop_typed(case, alpha):
+    kind, states, weights = case
+    problem = AugustinProblem.create(states, weights, alpha)
+    report = solve_petz_augustin(problem, keep_iterates=True)
+    assert np.all(np.isfinite(report.final))
+    if report.stop_reason in (STOP_SINGULAR, STOP_NON_FINITE):
+        return
+    assert report.stop_reason in (STOP_RESIDUAL, STOP_MAX_ITER)
+    slack = rows_keep_invariants(problem, report)
+    reference = solve_petz_augustin(problem, max_iter=2000, residual_tol=1e-14)
+    ref_power = matrix_power(reference.final, 1.0 - alpha)
+    distance = thompson_metric_psd(matrix_power(report.final, 1.0 - alpha), ref_power)
+    assert distance <= report.distance_bound + reference.distance_bound + slack
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    d=st.integers(2, 6),
+    alpha=orders,
+    seed=st.integers(0, 2**31),
+    tiny=st.booleans(),
+)
+def test_matrix_and_vector_forms_agree_on_diagonal_data(n, d, alpha, seed, tiny):
+    rng = np.random.default_rng(seed)
+    points = rng.dirichlet(np.ones(d), size=n)
+    weights = rng.dirichlet(np.ones(n))
+    if tiny and n > 1:
+        weights[0] = 1e-9
+        weights /= weights.sum()
+    vector = ClassicalAugustinProblem.create(points, weights, alpha)
+    matrix = vector.diagonal_embedding()
+    runs = []
+    for problem in (vector, matrix):
+        # to the rounding floor: a certificate of exactly 0 stops earlier
+        report = solve_petz_augustin(problem, max_iter=300, residual_tol=0.0, keep_iterates=True)
+        if report.stop_reason in (STOP_SINGULAR, STOP_NON_FINITE):
+            return  # a typed stop: a floor refused the data
+        assert report.stop_reason in (STOP_RESIDUAL, STOP_MAX_ITER)
+        rows_keep_invariants(problem, report)
+        runs.append(report)
+    vec, mat = runs
+    assert np.abs(np.diag(mat.final).real - vec.final).max() <= 1e-10
