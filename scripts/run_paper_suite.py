@@ -14,12 +14,62 @@ from pathlib import Path
 from augustin_lab.cli import main as cli_main
 
 
-def run(argv, failures):
-    print(f"\n$ augustin-lab {' '.join(argv)}")
-    code = cli_main(argv)
-    if code != 0:
-        failures.append((argv, code))
-    return code
+def commands(root: Path, small: bool, seed: int) -> list[list[str]]:
+    """The CLI argument lists of the battery, in the order they run."""
+    n, d = ("8", "16") if small else ("32", "128")
+    seed = str(seed)
+    suite = [
+        ["counterexample", "--out", str(root / "counterexample")],
+        [
+            "divergence-demo",
+            "--iters", "60",
+            "--polyak-steps", "1000",
+            "--out", str(root / "divergence_demo"),
+        ],
+    ]
+    for alpha in ("0.8", "1.5", "3", "5"):
+        suite.append(
+            [
+                "augustin",
+                "--n", n, "--d", d,
+                "--alpha", alpha,
+                "--iters", "60",
+                "--seed", seed,
+                "--out", str(root / f"augustin_alpha{alpha}"),
+            ]
+        )
+    suite.append(
+        [
+            "classical",
+            "--n", n, "--d", d,
+            "--alpha", "1.5",
+            "--iters", "60",
+            "--seed", seed,
+            "--out", str(root / "classical_alpha1.5"),
+        ]
+    )
+    suite.append(
+        [
+            "capacity",
+            "--n", "4", "--d", "2",
+            "--alpha", "0.8",
+            "--outer-steps", "50",
+            "--seed", seed,
+            "--out", str(root / "capacity"),
+        ]
+    )
+    for schedule in ("synchronous", "round-robin", "random"):
+        suite.append(
+            [
+                "fisher",
+                "--buyers", "5", "--goods", "6",
+                "--epochs", "20",
+                "--schedule", schedule,
+                "--seed", seed,
+                "--out", str(root / f"fisher_{schedule}"),
+            ]
+        )
+    return suite
 
 
 def main() -> int:
@@ -30,66 +80,12 @@ def main() -> int:
     args = parser.parse_args()
 
     root = Path(args.out)
-    n, d = ("8", "16") if args.small else ("32", "128")
-    seed = str(args.seed)
     failures = []
-
-    run(["counterexample", "--out", str(root / "counterexample")], failures)
-    run(
-        [
-            "divergence-demo",
-            "--iters", "60",
-            "--polyak-steps", "1000",
-            "--out", str(root / "divergence_demo"),
-        ],
-        failures,
-    )
-    for alpha in ("0.8", "1.5", "3", "5"):
-        run(
-            [
-                "augustin",
-                "--n", n, "--d", d,
-                "--alpha", alpha,
-                "--iters", "60",
-                "--seed", seed,
-                "--out", str(root / f"augustin_alpha{alpha}"),
-            ],
-            failures,
-        )
-    run(
-        [
-            "classical",
-            "--n", n, "--d", d,
-            "--alpha", "1.5",
-            "--iters", "60",
-            "--seed", seed,
-            "--out", str(root / "classical_alpha1.5"),
-        ],
-        failures,
-    )
-    run(
-        [
-            "capacity",
-            "--n", "4", "--d", "2",
-            "--alpha", "0.8",
-            "--outer-steps", "50",
-            "--seed", seed,
-            "--out", str(root / "capacity"),
-        ],
-        failures,
-    )
-    for schedule in ("synchronous", "round-robin", "random"):
-        run(
-            [
-                "fisher",
-                "--buyers", "5", "--goods", "6",
-                "--epochs", "20",
-                "--schedule", schedule,
-                "--seed", seed,
-                "--out", str(root / f"fisher_{schedule}"),
-            ],
-            failures,
-        )
+    for argv in commands(root, args.small, args.seed):
+        print(f"\n$ augustin-lab {' '.join(argv)}")
+        code = cli_main(argv)
+        if code != 0:
+            failures.append((argv, code))
 
     if failures:
         print(f"\n{len(failures)} task(s) failed:")

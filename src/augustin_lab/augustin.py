@@ -478,7 +478,9 @@ def solve_petz_augustin(
         d_T(N_new, N_old) <= |1-alpha| * max_j |x_j / alpha - log(tr_new / tr_old)|,
 
     which holds whatever weights built either row.  At the eigensolver's
-    rounding floor the computed iterates move by more than it says.
+    rounding floor the computed iterates move by more than it says.  Above
+    1/2 the column is only a diagnostic: a matrix start whose power is too
+    ill-conditioned to factor leaves the first row's entry empty.
 
     A combination S with an eigenvalue ratio at or below ``EIG_FLOOR`` stops
     the run ``SingularCombination``, with the ratio in ``detail``.  For
@@ -540,10 +542,17 @@ def solve_petz_augustin(
             else:
                 # exact: the vector form, orders at or below 1/2, and the
                 # first sweep from a start given as a matrix
-                residual = metric(
-                    new.power * new.trace ** (alpha - 1.0),
-                    carried.power * carried.trace ** (alpha - 1.0),
-                )
+                try:
+                    residual = metric(
+                        new.power * new.trace ** (alpha - 1.0),
+                        carried.power * carried.trace ** (alpha - 1.0),
+                    )
+                except SingularMatrix:
+                    if not guaranteed:
+                        raise
+                    # an ill-conditioned start's power defeats the Cholesky
+                    # factor; above 1/2 the column is only a diagnostic
+                    residual = None
         except SingularMatrix as exc:
             reason, detail = STOP_SINGULAR, str(exc)
             break
@@ -552,7 +561,7 @@ def solve_petz_augustin(
             break
         wall_time_ms = (perf_counter() - began) * 1e3
         if not (
-            math.isfinite(residual)
+            (residual is None or math.isfinite(residual))
             and math.isfinite(new.f_value)
             and math.isfinite(new.trace)
             and new.trace > 0
@@ -711,14 +720,13 @@ class PolyakRun:
     values: list[float]
 
 
-def emd_polyak_run(problem, steps: int, f_best: float, q1=None) -> PolyakRun:
-    """Iterate :func:`emd_polyak_step`, tracking the best objective value."""
-    if q1 is None:
-        q1 = _uniform_start(problem)
+def emd_polyak_run(problem, steps: int, f_best: float) -> PolyakRun:
+    """Iterate :func:`emd_polyak_step` from the maximally mixed state, tracking
+    the best objective value."""
     evaluate = objective_f if isinstance(problem, ClassicalAugustinProblem) else objective_F
-    q = q1
+    q = _uniform_start(problem)
     best_value = INF
-    best_point = q1
+    best_point = q
     values = []
     for _ in range(steps):
         value = evaluate(problem, q)

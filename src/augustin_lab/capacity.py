@@ -27,7 +27,7 @@ from .augustin import (
     _renormalized,
 )
 from .divergences import AugustinProblem, _check_weights, divergence_from_pairing
-from .errors import InvalidInput, InvalidOrder, NonFinite, SingularMatrix
+from .errors import InvalidInput, InvalidOrder, NonFinite, NotConverged, SingularMatrix
 from .trace import write_csv
 
 DEFAULT_EPS = 1e-9
@@ -73,7 +73,6 @@ class OracleResult(NamedTuple):
     g_hat: float
     grad_hat: np.ndarray
     inner_iters: int
-    eps: float
     state: IterateState  # unit-trace inner iterate, a warm start for the next call
 
 
@@ -120,9 +119,10 @@ def approx_oracle_detailed(
     eps * (1 - alpha), i.e. at the solver's residual_tol = eps * (1 - alpha)
     * (1 - kappa) / (2 kappa).  If that does not happen within
     MAX_INNER_ITERS sweeps the oracle cannot meet its contract and raises
-    :class:`InvalidInput`; a run that stops on non-finite values raises
-    :class:`NonFinite`, and one whose combination is numerically singular
-    raises :class:`SingularMatrix` with the eigenvalue ratio.
+    :class:`NotConverged`; a run that stops on non-finite values raises
+    :class:`NonFinite`, as do non-finite divergences, and one whose
+    combination is numerically singular raises :class:`SingularMatrix` with
+    the eigenvalue ratio.  Only a non-positive eps raises :class:`InvalidInput`.
     """
     if not eps > 0:
         raise InvalidInput("oracle accuracy must be positive")
@@ -140,7 +140,7 @@ def approx_oracle_detailed(
     if report.stop_reason == STOP_SINGULAR:
         raise SingularMatrix(f"capacity oracle at order {alpha!r}: {report.detail}")
     if report.stop_reason != STOP_RESIDUAL:
-        raise InvalidInput(
+        raise NotConverged(
             f"capacity oracle at order {alpha!r} found no eps={eps!r} certificate "
             f"within {MAX_INNER_ITERS} inner sweeps"
         )
@@ -149,10 +149,10 @@ def approx_oracle_detailed(
         [divergence_from_pairing(float(p), alpha) for p in state.pairings]
     )
     if not np.all(np.isfinite(divs)):
-        raise InvalidInput("inner solve produced non-finite divergences")
+        raise NonFinite("inner solve produced non-finite divergences")
     grad_hat = -divs
     g_hat = float(np.dot(inner.weights, grad_hat))
-    return OracleResult(g_hat, grad_hat, state.step, eps, state)
+    return OracleResult(g_hat, grad_hat, state.step, state)
 
 
 @dataclass(frozen=True)
@@ -186,15 +186,15 @@ def mirror_update(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return scaled / scaled.sum()
 
 
-def initial_capacity_state(
-    problem: CapacityProblem, eps: float = DEFAULT_EPS
+def _queried_state(
+    problem: CapacityProblem, step: int, w: np.ndarray, eps: float, start=None
 ) -> CapacityState:
-    w1 = np.full(problem.n, 1.0 / problem.n)
+    """The outer state at w, with the oracle call's wall time."""
     began = perf_counter()
-    result = approx_oracle_detailed(problem, w1, eps)
+    result = approx_oracle_detailed(problem, w, eps, start=start)
     return CapacityState(
-        step=1,
-        w=w1,
+        step=step,
+        w=w,
         g_hat=result.g_hat,
         grad_hat=result.grad_hat,
         inner_eps=eps,
@@ -202,6 +202,12 @@ def initial_capacity_state(
         wall_time_ms=(perf_counter() - began) * 1e3,
         inner_state=result.state,
     )
+
+
+def initial_capacity_state(
+    problem: CapacityProblem, eps: float = DEFAULT_EPS
+) -> CapacityState:
+    return _queried_state(problem, 1, np.full(problem.n, 1.0 / problem.n), eps)
 
 
 def emd_capacity_step(
@@ -211,18 +217,7 @@ def emd_capacity_step(
     warm-started from the previous step's inner state."""
     eps = state.inner_eps if eps is None else eps
     w_new = mirror_update(state.w, state.grad_hat)
-    began = perf_counter()
-    result = approx_oracle_detailed(problem, w_new, eps, start=state.inner_state)
-    return CapacityState(
-        step=state.step + 1,
-        w=w_new,
-        g_hat=result.g_hat,
-        grad_hat=result.grad_hat,
-        inner_eps=eps,
-        inner_iters=result.inner_iters,
-        wall_time_ms=(perf_counter() - began) * 1e3,
-        inner_state=result.state,
-    )
+    return _queried_state(problem, state.step + 1, w_new, eps, state.inner_state)
 
 
 @dataclass

@@ -4,6 +4,8 @@ Subcommands build a problem instance from a config (JSON file plus flag
 overrides), run the relevant solver, and persist trace CSVs next to a
 manifest that echoes the config and content-hashes every output file.
 Figures are not rendered; the CSVs are tidy input for any plotting tool.
+The table ``TASKS`` names the config fields each task reads; those fields
+alone make up its flags, its ``--config`` keys and its manifest's config.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -15,9 +17,11 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from .linalg import (
 )
 from .trace import write_csv
 
-TASKS = ("augustin", "classical", "capacity", "fisher", "counterexample", "divergence_demo")
 SCHEDULES = ("synchronous", "round-robin", "random")
 OUT_ENV = "AUGUSTIN_LAB_OUT"
 
@@ -66,7 +69,6 @@ class ExperimentConfig:
     alpha: float | None = None  # resolved per task in __post_init__
     iters: int = 60
     out: str | None = None
-    residual_tol: float = 1e-10
     # capacity
     outer_steps: int = 50
     inner_eps: float = 1e-9
@@ -90,12 +92,13 @@ class ExperimentConfig:
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Return a list of violations; empty means the config is runnable."""
-    bad = []
     if cfg.task not in TASKS:
-        bad.append(f"unknown task {cfg.task!r}")
-    if cfg.n < 1 or cfg.d < 1:
+        return [f"unknown task {cfg.task!r}"]
+    reads = TASKS[cfg.task].reads
+    bad = []
+    if "n" in reads and (cfg.n < 1 or cfg.d < 1):
         bad.append("n and d must be >= 1")
-    if cfg.iters < 1:
+    if "iters" in reads and cfg.iters < 1:
         bad.append("iteration budget must be >= 1")
     if cfg.task in ("augustin", "classical"):
         if not (cfg.alpha > 0 and cfg.alpha != 1):
@@ -149,8 +152,9 @@ class Workspace:
             if p.name == "manifest.json" or p.is_dir():
                 continue
             files[p.name] = {"sha256": _sha256(p), "bytes": p.stat().st_size}
+        echoed = ("task", "out") + TASKS[self.cfg.task].reads
         manifest = {
-            "config": asdict(self.cfg),
+            "config": {name: getattr(self.cfg, name) for name in echoed},
             "files": files,
             "wall_time_ms": (perf_counter() - self.began) * 1e3,
             "results": self.results,
@@ -397,30 +401,49 @@ def run_oracle_cache(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class Task(NamedTuple):
+    run: Callable[[ExperimentConfig], int]
+    help: str
+    reads: tuple[str, ...]  # the ExperimentConfig fields the runner reads
+
+
+FIXED_POINT = ("seed", "n", "d", "alpha", "iters")
+TASKS = {
+    "augustin": Task(run_fixed_point, "fixed-point run on random density matrices", FIXED_POINT),
+    "classical": Task(
+        run_fixed_point, "fixed-point run on random probability vectors", FIXED_POINT
+    ),
+    "capacity": Task(
+        run_capacity, "entropic mirror descent over input weights",
+        ("seed", "n", "d", "alpha", "outer_steps", "inner_eps"),
+    ),
+    "fisher": Task(
+        run_fisher, "asynchronous price updates in a CES market",
+        ("seed", "buyers", "goods", "rho_min", "rho_max", "rho_hat", "epochs", "schedule"),
+    ),
+    "counterexample": Task(run_counterexample, "reproduce the 2x2 non-contraction instance", ()),
+    "divergence_demo": Task(
+        run_divergence_demo, "3x3 instance where small orders fail to converge",
+        ("iters", "polyak_steps", "grid_resolution"),
+    ),
+}
+
+
 def _load_config(task: str, args: argparse.Namespace) -> ExperimentConfig:
+    reads = TASKS[task].reads
     payload = {}
-    if getattr(args, "config", None):
+    if args.config:
         payload = json.loads(Path(args.config).read_text())
         payload.pop("task", None)
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(payload) - known
+    unknown = set(payload) - set(reads) - {"out"}
     if unknown:
-        raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
+        raise InvalidInput(f"config keys {task} does not read: {sorted(unknown)}")
     cfg = ExperimentConfig(task=task, **payload)
-    for name in known:
-        value = getattr(args, name, None)
-        if value is not None and name != "task":
+    for name in reads + ("out",):
+        value = getattr(args, name)
+        if value is not None:
             setattr(cfg, name, value)
     return cfg
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--iters", type=int)
-    parser.add_argument("--out", help=f"output directory (or set ${OUT_ENV})")
-    parser.add_argument("--residual-tol", dest="residual_tol", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,57 +453,24 @@ def build_parser() -> argparse.ArgumentParser:
         "capacities, and market equilibria.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("augustin", help="fixed-point run on random density matrices")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-
-    p = sub.add_parser("classical", help="fixed-point run on random probability vectors")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-
-    p = sub.add_parser("capacity", help="entropic mirror descent over input weights")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--outer-steps", dest="outer_steps", type=int)
-    p.add_argument("--inner-eps", dest="inner_eps", type=float)
-
-    p = sub.add_parser("fisher", help="asynchronous price updates in a CES market")
-    _add_common(p)
-    p.add_argument("--buyers", type=int)
-    p.add_argument("--goods", type=int)
-    p.add_argument("--rho-min", dest="rho_min", type=float)
-    p.add_argument("--rho-max", dest="rho_max", type=float)
-    p.add_argument("--rho-hat", dest="rho_hat", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--schedule", choices=SCHEDULES)
-
-    p = sub.add_parser("counterexample", help="reproduce the 2x2 non-contraction instance")
-    _add_common(p)
-
-    p = sub.add_parser("divergence-demo", help="3x3 instance where small orders fail to converge")
-    _add_common(p)
-    p.add_argument("--polyak-steps", dest="polyak_steps", type=int)
-    p.add_argument("--grid-resolution", dest="grid_resolution", type=int)
+    defaults = ExperimentConfig()
+    for task, spec in TASKS.items():
+        p = sub.add_parser(task.replace("_", "-"), help=spec.help)
+        p.add_argument("--config", help="JSON file of this task's keys; flags override it")
+        for name in spec.reads:
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                dest=name,
+                type=type(getattr(defaults, name)),
+                choices=SCHEDULES if name == "schedule" else None,
+            )
+        p.add_argument("--out", help=f"output directory (or set ${OUT_ENV})")
 
     p = sub.add_parser("oracle-cache", help="inspect or clear a brute-force result cache")
     p.add_argument("--path", default="oracle_cache.json")
     p.add_argument("--clear", action="store_true")
 
     return parser
-
-
-RUNNERS = {
-    "augustin": run_fixed_point,
-    "classical": run_fixed_point,
-    "capacity": run_capacity,
-    "fisher": run_fisher,
-    "counterexample": run_counterexample,
-    "divergence_demo": run_divergence_demo,
-}
 
 
 def main(argv=None) -> int:
@@ -500,7 +490,7 @@ def main(argv=None) -> int:
             print(f"config error: {v}", file=sys.stderr)
         return 2
     try:
-        return RUNNERS[task](cfg)
+        return TASKS[task].run(cfg)
     except AugustinLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

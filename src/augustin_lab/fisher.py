@@ -216,8 +216,9 @@ class UpdateSchedule:
         return cls.create([(t % d,) for t in range(rounds)])
 
     @classmethod
-    def random_coverage(cls, d: int, epochs: int, seed: int, extra: int = 2) -> "UpdateSchedule":
-        """Random subsets arranged so every good updates at least once per epoch."""
+    def random_coverage(cls, d: int, epochs: int, seed: int) -> "UpdateSchedule":
+        """Random subsets arranged so every good updates at least once per
+        epoch, followed by up to two extra random subsets."""
         rng = np.random.default_rng(seed)
         rounds = []
         for _ in range(epochs):
@@ -227,7 +228,7 @@ class UpdateSchedule:
             leftover = [i for i in range(d) if i not in rounds[-1]]
             if leftover:
                 rounds.append(tuple(leftover))
-            for _ in range(int(rng.integers(0, extra + 1))):
+            for _ in range(int(rng.integers(0, 3))):
                 size = int(rng.integers(1, d + 1))
                 rounds.append(tuple(rng.choice(d, size=size, replace=False)))
         return cls.create(rounds)

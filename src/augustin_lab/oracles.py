@@ -151,49 +151,33 @@ def finite_diff_curvature(fn, w, z, h: float) -> float:
     return float((fn(w + h * z) - 2.0 * fn(w) + fn(w - h * z)) / h**2)
 
 
-def _g_value(problem: CapacityProblem, w: np.ndarray, residual_tol: float) -> float:
+def _g_value(problem: CapacityProblem, w: np.ndarray) -> float:
     inner = problem.weighted(w)
-    report = solve_petz_augustin(inner, max_iter=1000, residual_tol=residual_tol)
+    report = solve_petz_augustin(inner, max_iter=1000, residual_tol=1e-10)
     pair = pairing_traces(inner.state_powers, inner.order, report.final)
     divs = [divergence_from_pairing(float(p), inner.order) for p in pair]
     return -float(np.dot(inner.weights, divs))
 
 
-def grid_min_capacity_2(
-    problem: CapacityProblem,
-    resolution: int,
-    cache: OracleCache | None = None,
-    *,
-    residual_tol: float = 1e-10,
-) -> tuple[np.ndarray, float]:
+def grid_min_capacity_2(problem: CapacityProblem, resolution: int) -> tuple[np.ndarray, float]:
     """Line scan over weight vectors (s, 1-s) for two-state capacity problems."""
     if problem.n != 2:
         raise Unsupported("the line-scan oracle only handles exactly two states")
     if resolution < 3:
         raise InvalidInput("resolution must be >= 3")
-    key = _digest(
-        "capacity-grid", problem.order, problem.inner.states, resolution, residual_tol
-    )
-    if cache is not None and (hit := cache.get(key)) is not None:
-        return np.asarray(hit["argmin"], dtype=float), float(hit["value"])
     best_w, best_g = None, math.inf
     for k in range(1, resolution):
         s = k / resolution
         w = np.array([s, 1.0 - s])
-        g = _g_value(problem, w, residual_tol)
+        g = _g_value(problem, w)
         if g < best_g:
             best_w, best_g = w, g
-    if cache is not None:
-        cache.put(
-            key, {"value": best_g, "argmin": best_w.tolist(), "resolution": resolution}
-        )
     return best_w, best_g
 
 
-def coordinate_descent_potential(
-    market: FisherMarket, p0, *, sweeps: int = 60, span: float = 8.0
-) -> np.ndarray:
-    """Coordinatewise golden-section descent on the market potential.
+def coordinate_descent_potential(market: FisherMarket, p0) -> np.ndarray:
+    """Coordinatewise golden-section descent on the market potential: 60
+    sweeps, each coordinate searched within a factor 8 of its current value.
 
     An algorithm-independent cross-check of the equilibrium oracle for small
     markets (the potential is convex and smooth on the positive orthant).
@@ -203,7 +187,7 @@ def coordinate_descent_potential(
     if market.d_goods > 4:
         raise Unsupported("coordinate descent cross-check is limited to <= 4 goods")
     p = np.asarray(p0, dtype=float).copy()
-    for _ in range(sweeps):
+    for _ in range(60):
         for i in range(market.d_goods):
             def along(x, i=i):
                 trial = p.copy()
@@ -212,7 +196,7 @@ def coordinate_descent_potential(
 
             res = minimize_scalar(
                 along,
-                bounds=(p[i] / span, p[i] * span),
+                bounds=(p[i] / 8.0, p[i] * 8.0),
                 method="bounded",
                 options={"xatol": 1e-14},
             )

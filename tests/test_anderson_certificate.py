@@ -108,6 +108,25 @@ def test_nearpure_at_a_milder_order_converges():
     assert report.stop_reason == STOP_RESIDUAL and report.detail == ""
 
 
+@pytest.mark.parametrize("alpha, ratio", [(5.0, 1e-6), (3.0, 1e-10)])
+def test_ill_conditioned_start_is_no_singular_combination(alpha, ratio):
+    # Q1^(1-alpha) has condition number ratio^(1-alpha), too large for the
+    # Cholesky factor of the exact first residual; no combination is refused
+    problem = AugustinProblem.create(random_density_ensemble(3, 3, 4), np.full(3, 1 / 3), alpha)
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    lam = np.array([1.0, ratio, 0.5, 0.3])
+    report = solve_petz_augustin(problem, (u * (lam / lam.sum())) @ u.conj().T)
+    assert report.stop_reason == STOP_RESIDUAL and report.detail == ""
+    residuals = report.iterates.column("residual_thompson")
+    assert residuals[1] is None and all(r is not None for r in residuals[2:])
+    reference = solve_petz_augustin(problem, max_iter=2000, residual_tol=1e-14).final
+    distance = thompson_metric_psd(
+        matrix_power(report.final, 1 - alpha), matrix_power(reference, 1 - alpha)
+    )
+    assert distance <= report.distance_bound
+
+
 def test_oracle_raises_singular_matrix_on_a_singular_combination(monkeypatch):
     split = augustin._spectral_split
 

@@ -15,7 +15,7 @@ from augustin_lab.capacity import (
     solve_capacity,
 )
 from augustin_lab.divergences import ClassicalAugustinProblem
-from augustin_lab.errors import InvalidInput, InvalidOrder
+from augustin_lab.errors import InvalidInput, InvalidOrder, NonFinite, NotConverged
 from augustin_lab.linalg import (
     random_density_ensemble,
     random_density_matrix,
@@ -168,11 +168,17 @@ class TestWarmStart:
     def test_no_certificate_by_the_cap_raises(self, monkeypatch):
         monkeypatch.setattr(capacity, "MAX_INNER_ITERS", 3)
         p = CapacityProblem.create(random_density_ensemble(4103, 4, 2), 0.6)
-        with pytest.raises(InvalidInput, match=r"order 0\.6 .*eps=1e-14 .*within 3 inner"):
+        with pytest.raises(NotConverged, match=r"order 0\.6 .*eps=1e-14 .*within 3 inner"):
             approx_oracle(p, np.full(4, 0.25), 1e-14)
         # a loose eps is certified within the cap and still answers
         g, _ = approx_oracle(p, np.full(4, 0.25), 1.0)
         assert math.isfinite(g)
+
+    def test_non_finite_divergences_raise_non_finite(self, monkeypatch):
+        monkeypatch.setattr(capacity, "divergence_from_pairing", lambda pairing, alpha: math.inf)
+        p = CapacityProblem.create(random_density_ensemble(4103, 4, 2), 0.6)
+        with pytest.raises(NonFinite, match="non-finite divergences"):
+            approx_oracle(p, np.full(4, 0.25))
 
 
 class TestMirrorUpdate:
