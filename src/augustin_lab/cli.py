@@ -4,8 +4,9 @@ Subcommands build a problem instance from a config (JSON file plus flag
 overrides), run the relevant solver, and persist trace CSVs next to a
 manifest that echoes the config and content-hashes every output file.
 Figures are not rendered; the CSVs are tidy input for any plotting tool.
-The table ``TASKS`` names the config fields each task reads; those fields
-alone make up its flags, its ``--config`` keys and its manifest's config.
+Every subcommand is a row of the table ``TASKS``, which names the config
+fields each task reads; those fields alone make up its flags, its
+``--config`` keys and its manifest's config.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -96,6 +97,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         return [f"unknown task {cfg.task!r}"]
     reads = TASKS[cfg.task].reads
     bad = []
+    if "seed" in reads and cfg.seed < 0:
+        bad.append("seed must be >= 0")
     if "n" in reads and (cfg.n < 1 or cfg.d < 1):
         bad.append("n and d must be >= 1")
     if "iters" in reads and cfg.iters < 1:
@@ -213,12 +216,10 @@ def run_counterexample(cfg: ExperimentConfig) -> int:
 
 def run_divergence_demo(cfg: ExperimentConfig) -> int:
     ws = Workspace(cfg)
-    cache = oracles.OracleCache(ws.path("oracle_cache.json"))
     summary = {}
     for alpha in DEMO_ORDERS:
         problem = ClassicalAugustinProblem.create(DEMO_POINTS, DEMO_WEIGHTS, alpha)
-        grid = oracles.GridSpec(resolution=cfg.grid_resolution, dimension=3)
-        _, f_grid = oracles.grid_min_classical_augustin(problem, grid, cache)
+        _, f_grid = oracles.grid_min_classical_augustin(problem, cfg.grid_resolution)
         polyak = augustin.emd_polyak_run(
             problem, steps=cfg.polyak_steps, f_best=f_grid - 1e-4
         )
@@ -345,7 +346,7 @@ def run_fisher(cfg: ExperimentConfig) -> int:
     (ws.path("market.json")).write_text(json.dumps(market.to_json(), indent=1))
     p_star = fisher.equilibrium_prices(market)
     schedule = _build_schedule(cfg, market.d_goods)
-    (ws.path("schedule.json")).write_text(schedule.dumps())
+    (ws.path("schedule.json")).write_text(json.dumps(schedule.to_json()))
     p1 = np.full(market.d_goods, 1.0 / market.d_goods)
     states, boundaries = fisher.run_schedule(market, p1, schedule)
     rows = []
@@ -381,18 +382,6 @@ def run_fisher(cfg: ExperimentConfig) -> int:
         f"{d1:.4f} -> {rows[-1][1]:.3e} (bound factor {contraction}/epoch)"
     )
     ws.finalize()
-    return 0
-
-
-def run_oracle_cache(args) -> int:
-    cache = oracles.OracleCache(args.path)
-    if args.clear:
-        cache.clear()
-        print(f"cleared {args.path}")
-        return 0
-    print(f"{args.path}: {len(cache)} entries")
-    for key, value in sorted(cache._data.items()):
-        print(f"  {key[:16]}... value={value.get('value')!r} resolution={value.get('resolution')}")
     return 0
 
 
@@ -434,16 +423,31 @@ def _load_config(task: str, args: argparse.Namespace) -> ExperimentConfig:
     payload = {}
     if args.config:
         payload = json.loads(Path(args.config).read_text())
+        if not isinstance(payload, dict):
+            raise InvalidInput("the config file must hold one JSON object")
         payload.pop("task", None)
     unknown = set(payload) - set(reads) - {"out"}
     if unknown:
         raise InvalidInput(f"config keys {task} does not read: {sorted(unknown)}")
+    for name, value in payload.items():
+        # A file value must have the type its flag parses to; an integer
+        # stands for a float, as it does on the command line.
+        want = str if name == "out" else _flag_type(name)
+        if want is float and type(value) is int:
+            payload[name] = float(value)
+        elif type(value) is not want:
+            raise InvalidInput(f"config key {name!r} must be {want.__name__}, got {value!r}")
     cfg = ExperimentConfig(task=task, **payload)
     for name in reads + ("out",):
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
     return cfg
+
+
+def _flag_type(name: str) -> type:
+    """The type a task's flag for config field ``name`` parses to."""
+    return type(getattr(ExperimentConfig(), name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         "capacities, and market equilibria.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = ExperimentConfig()
     for task, spec in TASKS.items():
         p = sub.add_parser(task.replace("_", "-"), help=spec.help)
         p.add_argument("--config", help="JSON file of this task's keys; flags override it")
@@ -461,14 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--" + name.replace("_", "-"),
                 dest=name,
-                type=type(getattr(defaults, name)),
+                type=_flag_type(name),
                 choices=SCHEDULES if name == "schedule" else None,
             )
         p.add_argument("--out", help=f"output directory (or set ${OUT_ENV})")
-
-    p = sub.add_parser("oracle-cache", help="inspect or clear a brute-force result cache")
-    p.add_argument("--path", default="oracle_cache.json")
-    p.add_argument("--clear", action="store_true")
 
     return parser
 
@@ -476,12 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "oracle-cache":
-        return run_oracle_cache(args)
     task = args.command.replace("-", "_")
     try:
         cfg = _load_config(task, args)
-    except (InvalidInput, json.JSONDecodeError, OSError, TypeError) as exc:
+    except (InvalidInput, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     violations = validate_config(cfg)

@@ -21,8 +21,6 @@ from .linalg import (
     Spectrum,
     hermitian_eig,
     hermitize,
-    matrix_from_json,
-    matrix_to_json,
 )
 
 INF = math.inf
@@ -100,18 +98,6 @@ class AugustinProblem:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.order,
-            "weights": self.weights.tolist(),
-            "states": [matrix_to_json(s) for s in self.states],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AugustinProblem":
-        states = [matrix_from_json(s) for s in obj["states"]]
-        return cls.create(states, obj["weights"], obj["alpha"])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ stretch of rounds in which every seller updates at least once).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,10 +86,6 @@ class FisherMarket:
             "rho": self.elasticities.tolist(),
             "rho_hat": self.seller_bounds.tolist(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FisherMarket":
-        return cls.create(obj["valuations"], obj["budgets"], obj["rho"], obj["rho_hat"])
 
 
 def _check_prices(p) -> np.ndarray:
@@ -235,13 +230,6 @@ class UpdateSchedule:
 
     def to_json(self) -> dict:
         return {"rounds": [list(r) for r in self.rounds]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "UpdateSchedule":
-        return cls.create(obj["rounds"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def epoch_boundaries(schedule: UpdateSchedule, d: int) -> list[int]:

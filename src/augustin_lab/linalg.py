@@ -149,25 +149,3 @@ def _ginibre_density(rng: np.random.Generator, d: int) -> np.ndarray:
     m = g @ g.conj().T
     return hermitize(m / np.trace(m).real)
 
-
-def matrix_to_json(a: np.ndarray) -> dict:
-    """Serialize a Hermitian matrix as {"dim", "re", "im"}."""
-    a = hermitize(a)
-    return {
-        "dim": a.shape[0],
-        "re": np.real(a).tolist(),
-        "im": np.imag(a).tolist(),
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Deserialize and re-validate a matrix written by :func:`matrix_to_json`."""
-    d = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise InvalidInput(f"matrix payload shape does not match dim={d}")
-    a = re + 1j * im
-    if np.abs(a - a.conj().T).max() > 1e-12 * (1.0 + np.abs(a).max()):
-        raise InvalidInput("matrix payload is not Hermitian within tolerance")
-    return hermitize(a)

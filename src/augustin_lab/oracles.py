@@ -3,17 +3,12 @@
 Everything here is deliberately independent of the fixed-point machinery:
 simplex grids are enumerated exhaustively, derivatives come from central
 differences, and the capacity line search calls the inner solver only through
-its public interface.  Results can be cached in a small JSON store keyed by a
-content hash of the inputs.
+its public interface.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,89 +19,44 @@ from .fisher import FisherMarket, potential
 from .augustin import solve_petz_augustin
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Simplex grid: ``resolution`` subdivisions per edge in ``dimension`` coordinates."""
-
-    resolution: int
-    dimension: int
-
-    def __post_init__(self):
-        if self.resolution < 3:
-            raise InvalidInput("grid resolution must be >= 3")
-        if self.dimension < 1:
-            raise InvalidInput("grid dimension must be >= 1")
-
-
 def simplex_grid(resolution: int, dimension: int) -> np.ndarray:
-    """All points with coordinates k/resolution summing to 1, lexicographic order."""
-    points = []
+    """All points with coordinates k/resolution summing to 1, lexicographic order.
 
-    def fill(prefix, remaining, slots):
-        if slots == 1:
-            points.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            fill(prefix + [k], remaining - k, slots - 1)
-
-    fill([], resolution, dimension)
-    return np.asarray(points, dtype=float) / resolution
-
-
-class OracleCache:
-    """JSON-backed store mapping content hashes to oracle outputs."""
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self._data: dict = {}
-        if self.path.exists():
-            self._data = json.loads(self.path.read_text())
-
-    def get(self, key: str):
-        return self._data.get(key)
-
-    def put(self, key: str, value: dict) -> None:
-        self._data[key] = value
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(self._data, indent=1, sort_keys=True))
-
-    def clear(self) -> None:
-        self._data = {}
-        if self.path.exists():
-            self.path.unlink()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            h.update(np.ascontiguousarray(part).tobytes())
-        else:
-            h.update(repr(part).encode())
-    return h.hexdigest()
+    A point is fixed by its cuts ``0 <= c_1 <= ... <= c_{dimension-1} <=
+    resolution``, the partial sums of its integer coordinates, and points
+    order lexicographically as their cuts do.  The cuts grow one level at a
+    time: each row is followed by every admissible next cut, in increasing
+    order.
+    """
+    cuts = np.zeros((1, 0), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)
+    for _ in range(dimension - 1):
+        counts = resolution + 1 - last
+        rows = np.repeat(np.arange(last.size), counts)
+        first = np.cumsum(counts) - counts  # index of each row's first child
+        last = last[rows] + np.arange(rows.size) - first[rows]
+        cuts = np.column_stack([cuts[rows], last])
+    zeros = np.zeros((last.size, 1), dtype=np.int64)
+    edges = np.hstack([zeros, cuts, zeros + resolution])
+    # Divide the integer coordinates, not the cuts, so each entry is the
+    # correctly rounded k/resolution.
+    return np.diff(edges, axis=1) / resolution
 
 
 def grid_min_classical_augustin(
-    problem: ClassicalAugustinProblem, grid: GridSpec, cache: OracleCache | None = None
+    problem: ClassicalAugustinProblem, resolution: int
 ) -> tuple[np.ndarray, float]:
-    """Exhaustive minimum of the classical objective over a simplex grid.
+    """Exhaustive minimum of the classical objective over a simplex grid with
+    ``resolution`` subdivisions per edge.
 
     Ties break to the lexicographically smallest grid point.  Limited to
     dimension <= 4; the point count explodes combinatorially beyond that.
     """
+    if resolution < 3:
+        raise InvalidInput("grid resolution must be >= 3")
     if problem.dim > 4:
         raise Unsupported("grid search is limited to dimension <= 4")
-    if grid.dimension != problem.dim:
-        raise InvalidInput("grid dimension does not match the problem")
-    key = _digest(
-        "classical-grid", problem.order, problem.weights, problem.points, grid.resolution
-    )
-    if cache is not None and (hit := cache.get(key)) is not None:
-        return np.asarray(hit["argmin"], dtype=float), float(hit["value"])
-    pts = simplex_grid(grid.resolution, grid.dimension)
+    pts = simplex_grid(resolution, problem.dim)
     alpha = problem.order
     with np.errstate(divide="ignore", over="ignore"):
         powered = pts ** (1.0 - alpha)
@@ -114,10 +64,7 @@ def grid_min_classical_augustin(
         values = (np.log(pair) @ problem.weights) / (alpha - 1.0)
     values = np.where(np.isnan(values), np.inf, values)
     best = int(np.argmin(values))  # first occurrence = lexicographically smallest
-    q_best, f_best = pts[best], float(values[best])
-    if cache is not None:
-        cache.put(key, {"value": f_best, "argmin": q_best.tolist(), "resolution": grid.resolution})
-    return q_best, f_best
+    return pts[best], float(values[best])
 
 
 def finite_diff_gradient(fn, w, h: float) -> np.ndarray:

@@ -1,10 +1,9 @@
-"""Per-step iteration records, their JSON persistence, and the CSV writer."""
+"""Per-step iteration records and the CSV writer."""
 
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 CSV_COLUMNS = ("step", "f_value", "trace", "residual_thompson", "dist_to_reference", "wall_time_ms")
 
@@ -39,10 +38,6 @@ class IterationTrace:
 
     def to_csv(self, path) -> None:
         write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in self.rows))
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump([asdict(r) for r in self.rows], fh, indent=1)
 
 
 def write_csv(path, header, rows) -> None:

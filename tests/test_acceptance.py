@@ -53,7 +53,6 @@ from augustin_lab.linalg import (
     thompson_metric_vec,
 )
 from augustin_lab.oracles import (
-    GridSpec,
     finite_diff_curvature,
     grid_min_capacity_2,
     grid_min_classical_augustin,
@@ -394,9 +393,7 @@ def demo_runs():
     runs = {}
     for alpha in (0.2, 0.4):
         problem = ClassicalAugustinProblem.create(DEMO_POINTS, DEMO_WEIGHTS, alpha)
-        _, f_grid = grid_min_classical_augustin(
-            problem, GridSpec(resolution=1000, dimension=3)
-        )
+        _, f_grid = grid_min_classical_augustin(problem, 1000)
         polyak = emd_polyak_run(problem, steps=1000, f_best=f_grid - 1e-4)
         reference = polyak.best_point / polyak.best_point.sum()
         report = solve_classical_augustin(

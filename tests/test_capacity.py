@@ -22,7 +22,6 @@ from augustin_lab.linalg import (
     thompson_metric_psd,
 )
 from augustin_lab.oracles import (
-    GridSpec,
     finite_diff_curvature,
     finite_diff_gradient,
     grid_min_classical_augustin,
@@ -44,9 +43,7 @@ def commuting_capacity(points, alpha):
 def brute_g(points, w, alpha, resolution=4000):
     """-min_q of the weighted classical objective, by exhaustive grid."""
     cp = ClassicalAugustinProblem.create(points, w, alpha)
-    _, f_min = grid_min_classical_augustin(
-        cp, GridSpec(resolution=resolution, dimension=len(points[0]))
-    )
+    _, f_min = grid_min_classical_augustin(cp, resolution)
     return -f_min
 
 

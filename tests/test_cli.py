@@ -2,9 +2,17 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from augustin_lab.cli import ExperimentConfig, main, validate_config
+from augustin_lab.cli import (
+    ExperimentConfig,
+    _build_market,
+    _build_schedule,
+    main,
+    validate_config,
+)
+from augustin_lab.fisher import FisherMarket
 
 
 def read_csv_without_timing(path):
@@ -166,7 +174,18 @@ class TestExperimentTasks:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["epochs_completed"] >= 6
         assert manifest["results"]["equilibrium_residual"] <= 1e-10
-        assert (out / "market.json").exists() and (out / "schedule.json").exists()
+        cfg = ExperimentConfig(
+            task="fisher", buyers=3, goods=4, epochs=6, schedule="round-robin", seed=5
+        )
+        market = _build_market(cfg)
+        written = json.loads((out / "market.json").read_text())
+        back = FisherMarket.create(
+            written["valuations"], written["budgets"], written["rho"], written["rho_hat"]
+        )
+        for name in ("valuations", "budgets", "elasticities", "seller_bounds"):
+            assert np.abs(getattr(back, name) - getattr(market, name)).max() <= 1e-15
+        rounds = json.loads((out / "schedule.json").read_text())["rounds"]
+        assert [tuple(r) for r in rounds] == list(_build_schedule(cfg, 4).rounds)
 
 
 class TestConfigHandling:
@@ -211,10 +230,27 @@ class TestConfigHandling:
         assert code == 0
         assert (tmp_path / "env_out" / "counterexample" / "manifest.json").exists()
 
-    def test_oracle_cache_subcommand(self, tmp_path, capsys):
-        path = tmp_path / "oracle_cache.json"
-        path.write_text(json.dumps({"abc": {"value": 1.0, "resolution": 10}}))
-        assert main(["oracle-cache", "--path", str(path)]) == 0
-        assert "1 entries" in capsys.readouterr().out
-        assert main(["oracle-cache", "--path", str(path), "--clear"]) == 0
-        assert not path.exists()
+    @pytest.mark.parametrize("task", ["augustin", "capacity", "fisher"])
+    def test_negative_seed_exits_2(self, task, tmp_path, capsys):
+        assert main([task, "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [({"n": "3"}, "'n'"), ({"alpha": True}, "'alpha'"), ({"out": 7}, "'out'"), ([3], "object")],
+        ids=["str-for-int", "bool-for-float", "int-for-str", "not-an-object"],
+    )
+    def test_wrongly_typed_config_value_exits_2(self, payload, named, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["augustin", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_integer_config_value_stands_for_a_float(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 2, "d": 2, "alpha": 3, "iters": 2}))
+        out = tmp_path / "run"
+        assert main(["augustin", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert type(manifest["config"]["alpha"]) is float  # as with --alpha 3

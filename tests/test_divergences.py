@@ -99,13 +99,6 @@ class TestProblems:
         with pytest.raises(InvalidInput):
             ClassicalAugustinProblem.create([[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5], 1.5)
 
-    def test_json_round_trip(self):
-        states = random_density_ensemble(4, 2, 3)
-        p = AugustinProblem.create(states, [0.25, 0.75], 1.5)
-        q = AugustinProblem.from_json(p.to_json())
-        assert q.order == p.order
-        assert np.abs(q.states - p.states).max() <= 1e-15
-
 
 class TestObjectives:
     def test_single_state_matches_divergence(self):

@@ -65,12 +65,6 @@ class TestMarketValidation:
                     rng.dirichlet(np.ones(3), size=2), [0.5, 0.5], bad, [0.9] * 3
                 )
 
-    def test_json_round_trip(self):
-        m = random_market(1)
-        back = FisherMarket.from_json(m.to_json())
-        assert np.abs(back.valuations - m.valuations).max() <= 1e-15
-        assert np.abs(back.seller_bounds - m.seller_bounds).max() <= 1e-15
-
 
 class TestDemand:
     def test_single_good(self):
@@ -282,11 +276,6 @@ class TestSchedules:
     def test_random_coverage_completes_epochs(self):
         sched = UpdateSchedule.random_coverage(5, epochs=7, seed=3)
         assert len(epoch_boundaries(sched, 5)) >= 7
-
-    def test_json_round_trip(self):
-        sched = UpdateSchedule.create([[0, 1], [2], [0, 2]])
-        back = UpdateSchedule.from_json(sched.to_json())
-        assert back.rounds == sched.rounds
 
     @pytest.mark.parametrize("kind", ["synchronous", "round-robin", "random"])
     def test_epoch_contraction(self, kind):

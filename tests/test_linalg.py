@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,9 +9,7 @@ from augustin_lab.errors import InvalidInput, SingularMatrix
 from augustin_lab.linalg import (
     hermitian_eig,
     hermitize,
-    matrix_from_json,
     matrix_power,
-    matrix_to_json,
     random_density_ensemble,
     random_density_matrix,
     thompson_metric_psd,
@@ -229,20 +226,3 @@ class TestRandomDensity:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidInput):
             random_density_matrix(0, 0)
-
-
-class TestJson:
-    def test_round_trip(self, rng):
-        q = random_spd(rng, 3)
-        back = matrix_from_json(json.loads(json.dumps(matrix_to_json(q))))
-        assert np.abs(back - q).max() <= 1e-15 * (1 + np.abs(q).max())
-
-    def test_rejects_non_hermitian_payload(self):
-        payload = {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
-        with pytest.raises(InvalidInput):
-            matrix_from_json(payload)
-
-    def test_rejects_shape_mismatch(self):
-        payload = {"dim": 3, "re": [[1.0]], "im": [[0.0]]}
-        with pytest.raises(InvalidInput):
-            matrix_from_json(payload)

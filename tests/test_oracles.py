@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,6 @@ from augustin_lab.capacity import CapacityProblem
 from augustin_lab.divergences import ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput, Unsupported
 from augustin_lab.oracles import (
-    GridSpec,
-    OracleCache,
     finite_diff_curvature,
     finite_diff_gradient,
     grid_min_capacity_2,
@@ -16,6 +16,13 @@ from augustin_lab.oracles import (
 
 
 class TestSimplexGrid:
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
+    def test_matches_filtered_product(self, dimension):
+        for resolution in range(3, 13):
+            tuples = itertools.product(range(resolution + 1), repeat=dimension)
+            ref = np.array([t for t in tuples if sum(t) == resolution]) / resolution
+            assert np.array_equal(simplex_grid(resolution, dimension), ref)
+
     def test_counts_and_normalization(self):
         pts = simplex_grid(4, 3)
         assert pts.shape == (15, 3)  # compositions of 4 into 3 parts
@@ -26,15 +33,16 @@ class TestSimplexGrid:
         assert np.array_equal(pts[:, 0], np.array([0, 1, 2, 3]) / 3)
 
     def test_resolution_floor(self):
+        p = ClassicalAugustinProblem.create([[0.2, 0.3, 0.5]], [1.0], 1.5)
         with pytest.raises(InvalidInput):
-            GridSpec(resolution=2, dimension=3)
+            grid_min_classical_augustin(p, 2)
 
 
 class TestGridMinClassical:
     def test_single_point_argmin_near_target(self, rng):
         a = np.array([0.25, 0.25, 0.5])
         p = ClassicalAugustinProblem.create([a], [1.0], 1.5)
-        q_best, f_best = grid_min_classical_augustin(p, GridSpec(resolution=20, dimension=3))
+        q_best, f_best = grid_min_classical_augustin(p, 20)
         assert np.abs(q_best - a).max() <= 1.0 / 20 + 1e-12
         assert f_best <= 1e-12  # the target is itself a grid point
 
@@ -43,14 +51,14 @@ class TestGridMinClassical:
         # make third coordinate positive so the problem is valid
         pts = [[0.75, 0.2, 0.05], [0.2, 0.75, 0.05]]
         p = ClassicalAugustinProblem.create(pts, [0.5, 0.5], 2.0)
-        q_best, _ = grid_min_classical_augustin(p, GridSpec(resolution=60, dimension=3))
+        q_best, _ = grid_min_classical_augustin(p, 60)
         assert abs(q_best[0] - q_best[1]) <= 1.0 / 60 + 1e-12
 
     def test_monotone_refinement(self, rng):
         pts = rng.dirichlet(np.ones(3), size=2)
         p = ClassicalAugustinProblem.create(pts, [0.5, 0.5], 0.8)
-        _, f_coarse = grid_min_classical_augustin(p, GridSpec(resolution=30, dimension=3))
-        _, f_fine = grid_min_classical_augustin(p, GridSpec(resolution=60, dimension=3))
+        _, f_coarse = grid_min_classical_augustin(p, 30)
+        _, f_fine = grid_min_classical_augustin(p, 60)
         assert f_fine <= f_coarse + 1e-12
 
     def test_sweep_value_not_above_grid(self, rng):
@@ -60,26 +68,14 @@ class TestGridMinClassical:
         pts = rng.dirichlet(np.ones(3), size=3)
         p = ClassicalAugustinProblem.create(pts, np.ones(3) / 3, 1.5)
         report = solve_classical_augustin(p, max_iter=300, residual_tol=1e-14)
-        _, f_grid = grid_min_classical_augustin(p, GridSpec(resolution=40, dimension=3))
+        _, f_grid = grid_min_classical_augustin(p, 40)
         assert objective_f(p, report.final) <= f_grid + 1e-10
 
     def test_dimension_guard(self):
         pts = np.full((2, 6), 1 / 6)
         p = ClassicalAugustinProblem.create(pts, [0.5, 0.5], 1.5)
         with pytest.raises(Unsupported):
-            grid_min_classical_augustin(p, GridSpec(resolution=10, dimension=6))
-
-    def test_cache_round_trip(self, rng, tmp_path):
-        pts = rng.dirichlet(np.ones(3), size=2)
-        p = ClassicalAugustinProblem.create(pts, [0.5, 0.5], 1.5)
-        cache = OracleCache(tmp_path / "cache.json")
-        q1, f1 = grid_min_classical_augustin(p, GridSpec(resolution=25, dimension=3), cache)
-        assert len(cache) == 1
-        reloaded = OracleCache(tmp_path / "cache.json")
-        q2, f2 = grid_min_classical_augustin(p, GridSpec(resolution=25, dimension=3), reloaded)
-        assert f1 == f2 and np.array_equal(q1, q2)
-        reloaded.clear()
-        assert len(reloaded) == 0
+            grid_min_classical_augustin(p, 10)
 
 
 class TestFiniteDifferences:

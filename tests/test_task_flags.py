@@ -26,6 +26,10 @@ def subparsers():
     return action.choices
 
 
+def test_subcommands_are_the_rows_of_the_task_table():
+    assert set(subparsers()) == {task.replace("_", "-") for task in TASKS}
+
+
 @pytest.mark.parametrize("command", sorted(READS))
 def test_options_are_config_out_and_the_fields_read(command):
     options = {a.dest for a in subparsers()[command]._actions if a.dest != "help"}
