@@ -64,7 +64,6 @@ from .linalg import (
     random_density_matrix,
     thompson_metric_psd,
     thompson_metric_vec,
-    trace_product,
 )
 
 __version__ = "0.1.0"

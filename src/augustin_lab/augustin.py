@@ -15,9 +15,9 @@ mixing of the n log-pairings, which costs O(n m) per row.
 
 The commuting (vector) specialization runs through the same sweep as its
 diagonal case.  The module also provides the dual-space iteration the sweep
-coincides with, the multiplicative-update baseline, and entropic
-mirror descent with an adaptive step size as a reference method for orders
-without a contraction guarantee.
+coincides with, the multiplicative-update baseline, and, on probability
+vectors, entropic mirror descent with an adaptive step size as a reference
+method for orders without a contraction guarantee.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .divergences import (
     ClassicalAugustinProblem,
     classical_pairings,
     divergence_from_pairing,
-    objective_F,
     objective_f,
     pairing_traces,
     weighted_divergence,
@@ -43,7 +42,6 @@ from .errors import DegenerateTrace, InvalidInput, SingularMatrix, Unsupported
 from .linalg import (
     EIG_FLOOR,
     Spectrum,
-    hermitian_eig,
     hermitize,
     matrix_power,
     thompson_metric_psd,
@@ -533,6 +531,17 @@ def solve_petz_augustin(
                 r = _oscillation(new_v)
             else:
                 new = petz_augustin_step(problem, carried)
+            # Guard before the residual: the metric below then sees only a
+            # finite, positive row, so an error it raises is the caller's.
+            if not (
+                math.isfinite(new.f_value)
+                and math.isfinite(new.trace)
+                and new.trace > 0
+                and (not guaranteed or math.isfinite(r))
+                and (not vector or np.all(new.power > 0))
+            ):
+                reason = STOP_NON_FINITE
+                break
             if certified and carried.coefficients is not None:
                 # the O(n) move bound above
                 x = np.log(new.coefficients / carried.coefficients)
@@ -556,17 +565,11 @@ def solve_petz_augustin(
         except SingularMatrix as exc:
             reason, detail = STOP_SINGULAR, str(exc)
             break
-        except (DegenerateTrace, InvalidInput, FloatingPointError, np.linalg.LinAlgError):
+        except (DegenerateTrace, FloatingPointError, np.linalg.LinAlgError):
             reason = STOP_NON_FINITE
             break
         wall_time_ms = (perf_counter() - began) * 1e3
-        if not (
-            (residual is None or math.isfinite(residual))
-            and math.isfinite(new.f_value)
-            and math.isfinite(new.trace)
-            and new.trace > 0
-            and (not guaranteed or math.isfinite(r))
-        ):
+        if residual is not None and not math.isfinite(residual):
             reason = STOP_NON_FINITE
             break
         state = new
@@ -675,20 +678,16 @@ def augustin_classical_baseline_step(
     return q * (-classical_gradient(problem, q))
 
 
-def emd_polyak_step(problem, q, f_best: float):
+def emd_polyak_step(problem: ClassicalAugustinProblem, q, f_best: float):
     """Entropic mirror-descent step with an adaptive (target-gap) step size.
 
     The step size is (f(q) - f_best) / ||g~||_inf^2 where g~ is the gradient
     reduced by its q-weighted mean; the reduction leaves the multiplicative
     update invariant and vanishes at the minimizer, which keeps the step size
-    from collapsing near the solution.  Quantum problems are accepted when the
-    states commute, by updating in their joint eigenbasis.
+    from collapsing near the solution.  Only probability-vector problems are
+    accepted; any other raises :class:`Unsupported`.
     """
-    if isinstance(problem, AugustinProblem):
-        basis, classical = commuting_reduction(problem)
-        q_vec = _diagonalize_in(basis, q)
-        out = emd_polyak_step(classical, q_vec, f_best)
-        return hermitize((basis * out) @ basis.conj().T)
+    _require_vectors(problem)
     q = np.asarray(q, dtype=float)
     f_value = objective_f(problem, q)
     g = classical_gradient(problem, q)
@@ -713,6 +712,11 @@ def emd_polyak_step(problem, q, f_best: float):
     return out / out.sum()
 
 
+def _require_vectors(problem) -> None:
+    if not isinstance(problem, ClassicalAugustinProblem):
+        raise Unsupported("the adaptive-step reference takes probability-vector problems only")
+
+
 @dataclass
 class PolyakRun:
     best_value: float
@@ -720,52 +724,19 @@ class PolyakRun:
     values: list[float]
 
 
-def emd_polyak_run(problem, steps: int, f_best: float) -> PolyakRun:
-    """Iterate :func:`emd_polyak_step` from the maximally mixed state, tracking
-    the best objective value."""
-    evaluate = objective_f if isinstance(problem, ClassicalAugustinProblem) else objective_F
+def emd_polyak_run(problem: ClassicalAugustinProblem, steps: int, f_best: float) -> PolyakRun:
+    """Iterate :func:`emd_polyak_step` from the uniform vector, tracking the
+    best objective value."""
+    _require_vectors(problem)
     q = _uniform_start(problem)
     best_value = INF
     best_point = q
     values = []
     for _ in range(steps):
-        value = evaluate(problem, q)
+        value = objective_f(problem, q)
         values.append(value)
         if value < best_value:
             best_value = value
             best_point = np.array(q, copy=True)
         q = emd_polyak_step(problem, q, f_best)
     return PolyakRun(best_value=best_value, best_point=best_point, values=values)
-
-
-def commuting_reduction(problem: AugustinProblem):
-    """Joint eigenbasis and classical reduction of a commuting problem.
-
-    Diagonalizes a generic weighted combination of the states and verifies the
-    whole family is diagonal in that basis; raises :class:`Unsupported` for
-    genuinely non-commuting inputs.
-    """
-    # Generic coefficients break eigenvalue ties of the plain sum.
-    coeff = problem.weights * np.linspace(1.0, 2.0, problem.n)
-    spec = hermitian_eig(np.tensordot(coeff, problem.states, axes=1))
-    basis = spec.eigenvectors
-    rotated = np.einsum("ij,njk,kl->nil", basis.conj().T, problem.states, basis)
-    diags = np.real(np.einsum("nii->ni", rotated))
-    off = rotated - np.einsum("ni,ij->nij", diags, np.eye(problem.dim))
-    if np.abs(off).max() > 1e-10:
-        raise Unsupported("states do not commute; no joint eigenbasis")
-    rows = np.clip(diags, 0.0, None)
-    rows = rows / rows.sum(axis=1, keepdims=True)
-    classical = ClassicalAugustinProblem.create(rows, problem.weights, problem.order)
-    return basis, classical
-
-
-def _diagonalize_in(basis: np.ndarray, q: np.ndarray) -> np.ndarray:
-    rotated = basis.conj().T @ hermitize(q) @ basis
-    diag = np.real(np.diag(rotated))
-    off = np.abs(rotated - np.diag(diag)).max()
-    if off > 1e-10 * max(1.0, np.abs(diag).max()):
-        raise Unsupported("iterate does not commute with the problem states")
-    if np.any(diag <= 0):
-        raise InvalidInput("iterate must be positive definite")
-    return diag

@@ -56,10 +56,6 @@ class CapacityProblem:
         return self.inner.n
 
     @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-    @property
     def order(self) -> float:
         return self.inner.order
 

@@ -146,16 +146,15 @@ def potential(market: FisherMarket, p) -> float:
 
 @dataclass(frozen=True)
 class PriceState:
-    """Prices after ``step`` rounds plus per-good update counts."""
+    """Prices after ``step`` rounds."""
 
     step: int
     p: np.ndarray
-    update_counts: np.ndarray  # how many times each good's price was updated
 
     @classmethod
     def start(cls, p) -> "PriceState":
         p = _check_prices(p)
-        return cls(step=0, p=p, update_counts=np.zeros(p.shape[0], dtype=int))
+        return cls(step=0, p=p)
 
 
 def tatonnement_step(market: FisherMarket, state: PriceState, indices) -> PriceState:
@@ -181,9 +180,7 @@ def _reprice(market: FisherMarket, state: PriceState, idx: np.ndarray, x: np.nda
         raise NonFinite("price update overflowed to a non-finite value")
     if np.any(p_new <= 0):
         raise NonFinite("price update underflowed to a non-positive value")
-    counts = state.update_counts.copy()
-    counts[idx] += 1
-    return PriceState(step=state.step + 1, p=p_new, update_counts=counts)
+    return PriceState(step=state.step + 1, p=p_new)
 
 
 @dataclass(frozen=True)

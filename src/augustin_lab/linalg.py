@@ -1,7 +1,7 @@
 """Hermitian matrix primitives.
 
-Eigendecompositions, real matrix powers, trace pairings, Thompson metrics on
-the positive-definite cone and the positive orthant, and seeded random density
+Eigendecompositions, real matrix powers, Thompson metrics on the
+positive-definite cone and the positive orthant, and seeded random density
 matrices.  All functions take and return plain ``numpy`` arrays; Hermitian
 inputs are symmetrized on entry so downstream eigensolvers stay in the
 real-spectrum regime.
@@ -79,16 +79,6 @@ def matrix_power(q: np.ndarray, r: float) -> np.ndarray:
         return np.eye(np.asarray(q).shape[0], dtype=complex)
     spectrum = hermitian_eig(q)
     return spectrum.apply(_power_of_eigenvalues(spectrum.eigenvalues, r))
-
-
-def trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re(Tr[AB]) for Hermitian A, B of the same dimension."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise InvalidInput(f"dimension mismatch: {a.shape} vs {b.shape}")
-    # Tr[AB] = sum_ij A_ij conj(B_ij) for Hermitian B.
-    return float(np.real(np.sum(a * b.conj())))
 
 
 def thompson_metric_psd(u: np.ndarray, v: np.ndarray) -> float:

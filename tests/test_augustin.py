@@ -15,7 +15,6 @@ from augustin_lab.augustin import (
     cheng_dual_step,
     classical_augustin_step,
     classical_gradient,
-    commuting_reduction,
     contraction_factor,
     dual_objective_H,
     emd_polyak_run,
@@ -175,6 +174,20 @@ class TestStep:
         out2 = petz_augustin_step(p, initial_state(p, 3.7 * q)).normalized
         assert np.abs(out1 - out2).max() <= 1e-10
 
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_pairings_match_the_entrywise_sum(self, rng, complex_entries):
+        # Tr[A P] = sum_ik A_ik conj(P_ik) for Hermitian P, summed entry by entry
+        from augustin_lab.augustin import _pairings
+
+        states = [random_spd(rng, 6, complex_entries=complex_entries) for _ in range(3)]
+        p = AugustinProblem.create([a / np.trace(a).real for a in states], [0.2, 0.3, 0.5], 1.5)
+        power = random_spd(rng, 6, complex_entries=complex_entries)
+        expected = [
+            np.real(sum(a[i, k] * np.conj(power[i, k]) for i in range(6) for k in range(6)))
+            for a in p.state_powers
+        ]
+        assert _pairings(p, power) == pytest.approx(expected, rel=1e-12)
+
 
 class TestSolver:
     def test_single_state_converges_immediately(self):
@@ -270,6 +283,38 @@ class TestSolver:
         assert len(report.iterates) == 3
         assert np.all(np.isfinite(report.final))
 
+    def test_caller_error_in_the_metric_is_raised(self, monkeypatch):
+        # InvalidInput is the caller's error, never a numerical stop
+        from augustin_lab import augustin
+
+        def refusing_metric(u, v):
+            raise InvalidInput("refused")
+
+        monkeypatch.setattr(augustin, "thompson_metric_psd", refusing_metric)
+        p = make_problem(70, 3, 4, 1.5)
+        with pytest.raises(InvalidInput):
+            solve_petz_augustin(p, np.eye(4, dtype=complex) / 4, max_iter=3)
+
+    def test_non_positive_vector_power_stops_non_finite(self, monkeypatch):
+        # an underflowed power entry is a numerical stop, not a metric error
+        from dataclasses import replace
+
+        from augustin_lab import augustin
+
+        def underflow_at_sweep_2(problem, state):
+            new = classical_augustin_step(problem, state)
+            if new.step < 2:
+                return new
+            power = new.power.copy()
+            power[0] = 0.0
+            return replace(new, power=power)
+
+        monkeypatch.setattr(augustin, "petz_augustin_step", underflow_at_sweep_2)
+        p = make_classical(np.random.default_rng(70), 3, 4, 1.5)
+        report = solve_classical_augustin(p, max_iter=10, residual_tol=0.0)
+        assert report.stop_reason == STOP_NON_FINITE
+        assert len(report.iterates) == 2  # init + the first sweep
+
     def test_reference_distance_not_timed(self, monkeypatch):
         # the reference distance is bookkeeping, not sweep work: a slow metric
         # may only show in the first sweep's time, whose residual is exact
@@ -301,6 +346,11 @@ class TestSolver:
         p = make_problem(74, 2, 3, 1.5)
         with pytest.raises(InvalidInput):
             solve_petz_augustin(p, max_iter=0)
+
+    def test_non_positive_vector_start_rejected(self, rng):
+        p = make_classical(rng, 2, 3, 1.5)
+        with pytest.raises(InvalidInput):
+            solve_classical_augustin(p, np.array([0.5, 0.5, 0.0]))
 
     def test_trace_persists_as_csv_and_json(self, tmp_path):
         import csv as csv_mod
@@ -418,6 +468,11 @@ class TestDualIteration:
         single = AugustinProblem.create([a], [1.0], 2.0)
         assert dual_objective_H(single, np.zeros(1)) == pytest.approx(0.0, abs=1e-10)
 
+    def test_dual_coordinates_match_the_states(self):
+        p = make_problem(84, 3, 4, 2.0)
+        with pytest.raises(InvalidInput):
+            make_dual_state(p, np.zeros(2))
+
 
 class TestClassicalBaseline:
     def test_single_point_symbolic_form(self, rng):
@@ -448,6 +503,8 @@ class TestClassicalBaseline:
         p = make_classical(rng, 2, 3, 1.5)
         with pytest.raises(InvalidInput):
             augustin_classical_baseline_step(p, np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(InvalidInput):
+            classical_gradient(p, np.array([0.5, 0.5, 0.0]))
 
 
 class TestPolyakMirror:
@@ -480,19 +537,17 @@ class TestPolyakMirror:
         assert len(run.values) == 200 and all(np.isfinite(run.values))
         assert run.best_value == min(run.values) and run.best_point.min() > 0
 
-    def test_quantum_commuting_reduction(self, rng):
-        cp = make_classical(rng, 3, 3, 0.4)
-        qp = cp.diagonal_embedding()
-        q_mat = np.diag(random_simplex(rng, 3).astype(complex))
-        out_mat = emd_polyak_step(qp, q_mat, f_best=0.0)
-        out_vec = emd_polyak_step(cp, np.diag(q_mat).real, f_best=0.0)
-        assert np.abs(np.diag(out_mat).real - out_vec).max() <= 1e-12
+    def test_commuting_quantum_problem_rejected(self, rng):
+        # the reference takes probability vectors, even for diagonal states
+        qp = make_classical(rng, 3, 3, 0.4).diagonal_embedding()
+        with pytest.raises(Unsupported):
+            emd_polyak_step(qp, np.eye(3, dtype=complex) / 3, f_best=0.0)
+        with pytest.raises(Unsupported):
+            emd_polyak_run(qp, steps=3, f_best=0.0)
 
     def test_non_commuting_rejected(self):
         states = random_density_ensemble(5, 2, 3)
         p = AugustinProblem.create(states, [0.5, 0.5], 0.4)
-        with pytest.raises(Unsupported):
-            commuting_reduction(p)
         with pytest.raises(Unsupported):
             emd_polyak_step(p, np.eye(3, dtype=complex) / 3, f_best=0.0)
 

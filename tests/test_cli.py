@@ -41,6 +41,13 @@ class TestValidateConfig:
     def test_unit_order_rejected(self):
         assert validate_config(ExperimentConfig(task="augustin", alpha=1.0))
 
+    def test_grid_resolution_upper_bound(self):
+        # the grid is held whole in memory, so a huge resolution is refused
+        # before it is built
+        assert validate_config(ExperimentConfig(task="divergence_demo", grid_resolution=2000)) == []
+        cfg = ExperimentConfig(task="divergence_demo", grid_resolution=2001)
+        assert validate_config(cfg) == ["grid_resolution must lie in [3, 2000]"]
+
 
 class TestCounterexample:
     def test_reproduces_printed_values(self, tmp_path, capsys):
@@ -187,6 +194,20 @@ class TestExperimentTasks:
         rounds = json.loads((out / "schedule.json").read_text())["rounds"]
         assert [tuple(r) for r in rounds] == list(_build_schedule(cfg, 4).rounds)
 
+    @pytest.mark.parametrize("schedule", ["synchronous", "random"])
+    def test_fisher_schedules(self, schedule, tmp_path):
+        out = tmp_path / schedule
+        flags = ["--buyers", "3", "--goods", "4", "--epochs", "3", "--schedule", schedule]
+        assert main(["fisher", *flags, "--out", str(out)]) == 0
+        cfg = ExperimentConfig(task="fisher", buyers=3, goods=4, epochs=3, schedule=schedule)
+        rounds = json.loads((out / "schedule.json").read_text())["rounds"]
+        assert [tuple(r) for r in rounds] == list(_build_schedule(cfg, 4).rounds)
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results["rounds"] == len(rounds)
+        assert results["epochs_completed"] >= 3
+        trace = list(csv.reader(open(out / "fisher_trace.csv")))
+        assert int(trace[-1][3]) == results["epochs_completed"]
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -246,6 +267,32 @@ class TestConfigHandling:
         cfg_path.write_text(json.dumps(payload))
         assert main(["augustin", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, payload, message",
+        [
+            ("capacity", {"outer_steps": 0}, "outer_steps must be >= 1"),
+            ("capacity", {"inner_eps": 0.0}, "inner_eps must be positive"),
+            ("fisher", {"rho_min": 0.5, "rho_max": 0.4}, "need 0 < rho_min <= rho_max < 1"),
+            ("fisher", {"rho_hat": 0.5}, "seller bound 0.5 must lie in [max elasticity, 1)"),
+            ("fisher", {"schedule": "weekly"}, "unknown schedule 'weekly'"),
+            ("fisher", {"epochs": 0}, "epochs must be >= 1"),
+            ("fisher", {"goods": 0}, "buyers and goods must be >= 1"),
+            ("divergence-demo", {"polyak_steps": 0}, "polyak_steps must be >= 1"),
+            ("divergence-demo", {"grid_resolution": 2}, "grid_resolution must lie in [3, 2000]"),
+        ],
+        ids=[
+            "outer_steps", "inner_eps", "rho_order", "rho_hat", "schedule", "epochs", "goods",
+            "polyak_steps", "grid_resolution",
+        ],
+    )
+    def test_task_checks_exit_2(self, task, payload, message, tmp_path, capsys):
+        # the schedule reaches these checks only from a file: its flag has choices
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([task, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_integer_config_value_stands_for_a_float(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -9,12 +9,19 @@ from augustin_lab.divergences import (
     INF,
     AugustinProblem,
     ClassicalAugustinProblem,
+    classical_pairings,
+    divergence_from_pairing,
     objective_F,
     objective_f,
     petz_renyi_divergence,
 )
-from augustin_lab.errors import InvalidInput, InvalidOrder
-from augustin_lab.linalg import random_density_ensemble, random_density_matrix, thompson_metric_psd
+from augustin_lab.errors import DegenerateTraceWarning, InvalidInput, InvalidOrder
+from augustin_lab.linalg import (
+    EIG_FLOOR,
+    random_density_ensemble,
+    random_density_matrix,
+    thompson_metric_psd,
+)
 from conftest import random_simplex
 
 
@@ -78,6 +85,14 @@ class TestProblems:
             AugustinProblem.create(states, [0.7, 0.2], 1.5)  # does not sum to 1
         with pytest.raises(InvalidInput):
             AugustinProblem.create(states, [1.2, -0.2], 1.5)
+        with pytest.raises(InvalidInput):
+            AugustinProblem.create(states, [0.2, 0.3, 0.5], 1.5)  # three for two states
+
+    def test_states_validated(self):
+        with pytest.raises(InvalidInput):
+            AugustinProblem.create([np.diag([1.2, -0.2])], [1.0], 1.5)  # not PSD
+        with pytest.raises(InvalidInput):
+            AugustinProblem.create([np.diag([0.6, 0.6])], [1.0], 1.5)  # trace 1.2
 
     def test_rank_deficient_sum_rejected(self):
         a = np.diag([1.0, 0.0]).astype(complex)
@@ -98,6 +113,10 @@ class TestProblems:
             ClassicalAugustinProblem.create([[0.5, 0.4]], [1.0], 1.5)
         with pytest.raises(InvalidInput):
             ClassicalAugustinProblem.create([[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5], 1.5)
+        with pytest.raises(InvalidInput):
+            ClassicalAugustinProblem.create([0.5, 0.5], [1.0], 1.5)  # not 2-D
+        with pytest.raises(InvalidInput):
+            ClassicalAugustinProblem.create([[1.2, -0.2], [0.5, 0.5]], [0.5, 0.5], 1.5)
 
 
 class TestObjectives:
@@ -139,6 +158,23 @@ class TestObjectives:
     def test_classical_scalar_example(self):
         p = ClassicalAugustinProblem.create([[0.5, 0.5]], [1.0], 2.0)
         assert objective_f(p, np.array([0.25, 0.75])) == pytest.approx(math.log(4 / 3), abs=1e-12)
+
+    def test_classical_kernel_above_order_one(self):
+        # a zero coordinate of q: +inf for a point with mass there, else the
+        # sum over the support
+        p = ClassicalAugustinProblem.create([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]], [0.5, 0.5], 2.0)
+        q = np.array([0.25, 0.75, 0.0])
+        pair = classical_pairings(p, q)
+        assert pair[0] == pytest.approx(0.5**2 / 0.25 + 0.5**2 / 0.75, rel=1e-15)
+        assert pair[1] == INF
+        assert objective_f(p, q) == INF
+        with pytest.raises(InvalidInput):
+            classical_pairings(p, np.array([0.5, 0.6, -0.1]))
+
+    def test_non_positive_pairing_above_order_one_is_clamped(self):
+        with pytest.warns(DegenerateTraceWarning):
+            value = divergence_from_pairing(0.0, 1.5)
+        assert value == math.log(EIG_FLOOR) / 0.5
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

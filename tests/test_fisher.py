@@ -65,6 +65,22 @@ class TestMarketValidation:
                     rng.dirichlet(np.ones(3), size=2), [0.5, 0.5], bad, [0.9] * 3
                 )
 
+    @pytest.mark.parametrize(
+        "valuations, budgets, bounds",
+        [
+            ([0.2, 0.3, 0.5], [1.0], [0.9] * 3),  # 1-D valuations
+            ([[1.2, -0.2, 0.0], [0.2, 0.3, 0.5]], [0.5, 0.5], [0.9] * 3),  # negative
+            ([[0.2, 0.3, 0.4], [0.2, 0.3, 0.5]], [0.5, 0.5], [0.9] * 3),  # row sum 0.9
+            ([[0.5, 0.5, 0.0], [0.4, 0.6, 0.0]], [0.5, 0.5], [0.9] * 3),  # good 2 unvalued
+            ([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]], [0.5, 0.4], [0.9] * 3),  # budgets sum 0.9
+            ([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]], [1.0], [0.9] * 3),  # one budget for two
+            ([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]], [0.5, 0.5], [0.9] * 2),  # two bounds
+        ],
+    )
+    def test_malformed_market_rejected(self, valuations, budgets, bounds):
+        with pytest.raises(InvalidInput):
+            FisherMarket.create(valuations, budgets, [0.4, 0.5], bounds)
+
 
 class TestDemand:
     def test_single_good(self):
@@ -208,10 +224,13 @@ class TestTatonnement:
         m = random_market(10)
         state = PriceState.start(np.full(m.d_goods, 1 / m.d_goods))
         out = tatonnement_step(m, state, [0, 2])
-        assert list(out.update_counts) == [1, 0, 1, 0, 0]
+        assert np.all(out.p[[0, 2]] != state.p[[0, 2]])
         assert np.array_equal(out.p[[1, 3, 4]], state.p[[1, 3, 4]])
         with pytest.raises(InvalidInput):
             tatonnement_step(m, state, [])
+        for outside in ([0, m.d_goods], [-1]):
+            with pytest.raises(InvalidInput):
+                tatonnement_step(m, state, outside)
 
     def test_coordinate_contraction(self, rng):
         m = random_market(11)

@@ -14,7 +14,6 @@ from augustin_lab.linalg import (
     random_density_matrix,
     thompson_metric_psd,
     thompson_metric_vec,
-    trace_product,
 )
 from conftest import random_spd
 
@@ -108,29 +107,6 @@ class TestMatrixPower:
             matrix_power(random_spd(rng, 2), math.inf)
 
 
-class TestTraceProduct:
-    def test_identity_gives_trace(self, rng):
-        q = random_spd(rng, 5)
-        assert trace_product(np.eye(5), q) == pytest.approx(np.trace(q).real)
-
-    def test_diagonal_arithmetic(self):
-        assert trace_product(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == pytest.approx(11.0)
-
-    def test_entrywise_sum_oracle(self, rng):
-        a = random_spd(rng, 6)
-        b = random_spd(rng, 6)
-        expected = np.real(sum(a[i, j] * np.conj(b[i, j]) for i in range(6) for j in range(6)))
-        assert trace_product(a, b) == pytest.approx(expected, rel=1e-12)
-
-    def test_symmetric(self, rng):
-        a, b = random_spd(rng, 4), random_spd(rng, 4)
-        assert trace_product(a, b) == pytest.approx(trace_product(b, a), rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInput):
-            trace_product(np.eye(2), np.eye(3))
-
-
 class TestThompsonPsd:
     def test_zero_on_equal(self, rng):
         q = random_spd(rng, 4)
@@ -152,6 +128,10 @@ class TestThompsonPsd:
             thompson_metric_psd(np.diag([1.0, 0.0]), np.eye(2))
         with pytest.raises(SingularMatrix):
             thompson_metric_psd(np.eye(2), np.diag([1.0, -1.0]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InvalidInput):
+            thompson_metric_psd(np.eye(2), np.eye(3))
 
     def test_power_contraction(self, rng):
         for _ in range(50):
@@ -200,6 +180,10 @@ class TestThompsonVec:
         with pytest.raises(InvalidInput):
             thompson_metric_vec([1.0, 0.0], [1.0, 1.0])
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(InvalidInput):
+            thompson_metric_vec([1.0, 1.0], [1.0, 1.0, 1.0])
+
 
 class TestRandomDensity:
     def test_dimension_one(self):
@@ -226,3 +210,6 @@ class TestRandomDensity:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidInput):
             random_density_matrix(0, 0)
+        for n, d in ((0, 3), (3, 0)):
+            with pytest.raises(InvalidInput):
+                random_density_ensemble(0, n, d)

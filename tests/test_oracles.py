@@ -6,7 +6,9 @@ import pytest
 from augustin_lab.capacity import CapacityProblem
 from augustin_lab.divergences import ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput, Unsupported
+from augustin_lab.fisher import FisherMarket
 from augustin_lab.oracles import (
+    coordinate_descent_potential,
     finite_diff_curvature,
     finite_diff_gradient,
     grid_min_capacity_2,
@@ -116,6 +118,14 @@ class TestFiniteDifferences:
         curv = finite_diff_curvature(fn, w, z, 1e-4)
         assert curv == pytest.approx(2 * np.dot(z, z), abs=1e-6)
 
+    def test_curvature_probe_guards(self):
+        w = np.array([0.3, 0.3, 0.4])
+        z = np.array([1.0, -1.0, 0.0])
+        with pytest.raises(InvalidInput):
+            finite_diff_curvature(lambda x: 0.0, w, z, 0.0)
+        with pytest.raises(InvalidInput):
+            finite_diff_curvature(lambda x: 0.0, w, z, 0.5)  # leaves the orthant
+
 
 class TestCapacityGrid:
     def test_identical_states_flat(self):
@@ -136,3 +146,16 @@ class TestCapacityGrid:
         p = CapacityProblem.create(states, 0.8)
         with pytest.raises(Unsupported):
             grid_min_capacity_2(p, resolution=10)
+
+    def test_resolution_floor(self):
+        a = np.diag([0.6, 0.4]).astype(complex)
+        p = CapacityProblem.create([a, np.diag([0.4, 0.6]).astype(complex)], 0.8)
+        with pytest.raises(InvalidInput):
+            grid_min_capacity_2(p, resolution=2)
+
+
+class TestCoordinateDescentPotential:
+    def test_goods_limit(self):
+        market = FisherMarket.create(np.full((1, 5), 0.2), [1.0], [0.5], np.full(5, 0.6))
+        with pytest.raises(Unsupported):
+            coordinate_descent_potential(market, np.full(5, 0.2))
