@@ -8,10 +8,9 @@ the random ensembles for a quick smoke run.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
-
-from augustin_lab.cli import main as cli_main
 
 
 def commands(root: Path, small: bool, seed: int) -> list[list[str]]:
@@ -73,6 +72,8 @@ def commands(root: Path, small: bool, seed: int) -> list[list[str]]:
 
 
 def main() -> int:
+    from augustin_lab.cli import main as cli_main
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/suite", help="output root directory")
     parser.add_argument("--small", action="store_true", help="shrink ensembles for a quick run")
@@ -97,4 +98,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    # Pin BLAS to one thread before numpy loads, keeping a value the caller
+    # set: at these sizes a threaded BLAS thrashes the cores, and problem
+    # construction puts the idle ones to work instead.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     sys.exit(main())

@@ -10,6 +10,8 @@ cache the ``alpha`` powers of their states once at construction.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,7 +20,6 @@ import numpy as np
 from .errors import DegenerateTraceWarning, InvalidInput, InvalidOrder
 from .linalg import (
     EIG_FLOOR,
-    Spectrum,
     hermitian_eig,
     hermitize,
 )
@@ -51,53 +52,160 @@ def _psd_power(m: np.ndarray, r: float) -> np.ndarray:
     return spec.apply(np.clip(spec.eigenvalues, 0.0, None) ** r)
 
 
+def _worker_count(environ, cores: int) -> int:
+    """Cores that BLAS leaves idle: ``cores // k`` for a BLAS pinned to k
+    threads by ``OPENBLAS_NUM_THREADS`` (else ``OMP_NUM_THREADS``), and 1 when
+    neither is set, since BLAS then starts a thread on every core."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads >= 1:
+            return max(1, cores // threads)
+    return 1
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Read once: BLAS reads its thread count when numpy loads it.
+WORKERS = _worker_count(os.environ, _usable_cores())
+POWER_BLOCK = 4  # states per LAPACK call; a small problem makes one call
+SPLIT_MIN_ENTRIES = 1 << 15  # stacks with fewer entries are built serially
+
+
+def _fill_powers(stack: np.ndarray, order: float) -> None:
+    """Overwrite a block of Hermitian states with their ``order`` powers.
+
+    An integer order k >= 2 takes binary powering by stacked products and a
+    stacked Cholesky factor of A + DENSITY_ATOL * I as its PSD check; any
+    other order takes a stacked ``eigh``, each power reassembled from its
+    clipped spectrum.  Raises InvalidInput at the first state that is not PSD.
+    Calls numpy alone, never a library function, so it may run on a helper
+    thread unseen by anything that wraps the library's functions.
+    """
+    if order >= 2 and order == int(order):
+        try:
+            np.linalg.cholesky(stack + DENSITY_ATOL * np.eye(stack.shape[-1]))
+        except np.linalg.LinAlgError:
+            _check_psd(np.linalg.eigvalsh(stack))
+        k, base, power = int(order), stack, None
+        while k:
+            if k & 1:
+                power = base if power is None else power @ base
+            k >>= 1
+            if k:
+                base = base @ base
+        stack[...] = power
+        return
+    lam, vecs = np.linalg.eigh(stack)  # eigenvalues in increasing order
+    _check_psd(lam)
+    for j in range(stack.shape[0]):
+        v = vecs[j, :, ::-1]
+        stack[j] = (v * np.clip(lam[j, ::-1], 0.0, None) ** order) @ v.conj().T
+
+
+def _check_psd(lam: np.ndarray) -> None:
+    for low in lam[:, 0]:
+        if low < -DENSITY_ATOL:
+            raise InvalidInput(f"matrix is not PSD: min eigenvalue {low:.3e}")
+
+
+def _fill_range(stack: np.ndarray, order: float) -> None:
+    for start in range(0, stack.shape[0], POWER_BLOCK):
+        _fill_powers(stack[start : start + POWER_BLOCK], order)
+
+
+def _fill_all(stack: np.ndarray, order: float) -> None:
+    """Fill the stack with powers, split in two halves over two threads when
+    BLAS leaves a core idle and the stack is large enough to pay for it.
+
+    The caller's thread takes the first half, so the first bad state raises
+    the same error as in a serial fill; the helper's error is re-raised here.
+    """
+    n = stack.shape[0]
+    if WORKERS < 2 or n <= POWER_BLOCK or stack.size < SPLIT_MIN_ENTRIES:
+        _fill_range(stack, order)
+        return
+    half = -(-n // (2 * POWER_BLOCK)) * POWER_BLOCK
+    failure = []
+
+    def helper() -> None:
+        try:
+            _fill_range(stack[half:], order)
+        except Exception as exc:  # re-raised on the caller's thread
+            failure.append(exc)
+
+    thread = threading.Thread(target=helper, name="augustin-powers")
+    thread.start()
+    try:
+        _fill_range(stack[:half], order)
+    finally:
+        thread.join()
+    if failure:
+        raise failure[0]
+
+
 @dataclass(frozen=True)
 class AugustinProblem:
     """Weighted divergence objective over density matrices.
 
-    ``states`` is an (n, d, d) stack of density matrices, ``weights`` a
-    positive probability vector, ``order`` the divergence order, and
-    ``state_powers`` the cached stack of states raised to ``order``.
+    ``weights`` is a positive probability vector, ``order`` the divergence
+    order, and ``state_powers`` the (n, d, d) stack of the states raised to
+    ``order``; the states themselves are not kept.
     """
 
-    states: np.ndarray
     weights: np.ndarray
     order: float
     state_powers: np.ndarray = field(repr=False)
 
     @classmethod
     def create(cls, states, weights, order: float) -> "AugustinProblem":
+        """Check the states and build their powers in one (n, d, d) stack.
+
+        Each hermitized state is copied into the stack; the unit-trace check,
+        the full-rank check of their sum and the weights check run on it
+        before the powers overwrite it block by block (see ``_fill_powers``).
+        Powers at non-integer orders are identical to the last bit at any
+        worker count; integer orders are exact products up to rounding.
+        """
         order = _check_order(order)
-        mats = np.stack([hermitize(s) for s in states])
-        # One decomposition per state serves the checks and the power;
-        # eigh returns eigenvalues in increasing order.
-        lam, vecs = np.linalg.eigh(mats)
-        for j in range(mats.shape[0]):
-            if lam[j, 0] < -DENSITY_ATOL:
-                raise InvalidInput(f"matrix is not PSD: min eigenvalue {lam[j, 0]:.3e}")
-            tr = float(np.trace(mats[j]).real)
-            if abs(tr - 1.0) > DENSITY_ATOL:
-                raise InvalidInput(f"matrix trace {tr!r} is not 1 within {DENSITY_ATOL}")
-        w = _check_weights(weights, mats.shape[0])
-        lam_total = np.linalg.eigvalsh(mats.sum(axis=0))
+        states = list(states)
+        if not states:
+            raise InvalidInput("expected at least one state")
+        dtype = np.result_type(*(np.asarray(s).dtype for s in states), 1.0)
+        for j, s in enumerate(states):
+            a = hermitize(s)
+            if j == 0:
+                stack = np.empty((len(states), *a.shape), dtype=dtype)
+            elif a.shape != stack.shape[1:]:
+                raise InvalidInput(f"state {j} has shape {a.shape}, expected {stack.shape[1:]}")
+            stack[j] = a
+        traces = np.trace(stack, axis1=1, axis2=2).real
+        bad = np.flatnonzero(np.abs(traces - 1.0) > DENSITY_ATOL)
+        if bad.size:
+            tr = float(traces[bad[0]])
+            raise InvalidInput(f"matrix trace {tr!r} is not 1 within {DENSITY_ATOL}")
+        w = _check_weights(weights, stack.shape[0])
+        lam_total = np.linalg.eigvalsh(stack.sum(axis=0))
         if lam_total[0] <= EIG_FLOOR * lam_total[-1]:
             raise InvalidInput(
                 f"sum of states must be full-rank; min eigenvalue {lam_total[0]:.3e}"
             )
-        # Each power overwrites the eigenvectors it was built from, so the
-        # construction holds no third (n, d, d) stack.
-        for j in range(mats.shape[0]):
-            spec = Spectrum(lam[j, ::-1], vecs[j, :, ::-1])
-            vecs[j] = spec.apply(np.clip(spec.eigenvalues, 0.0, None) ** order)
-        return cls(states=mats, weights=w, order=order, state_powers=vecs)
+        _fill_all(stack, order)
+        return cls(weights=w, order=order, state_powers=stack)
 
     @property
     def n(self) -> int:
-        return self.states.shape[0]
+        return self.state_powers.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.state_powers.shape[1]
 
 
 @dataclass(frozen=True)

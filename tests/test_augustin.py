@@ -372,14 +372,19 @@ class TestClassicalSolver:
         assert report.converged
         assert np.abs(report.final - a).max() <= 1e-10
 
-    @pytest.mark.parametrize("alpha", [0.8, 1.5, 3.0])
-    def test_matches_quantum_on_diagonal_data(self, rng, alpha):
-        cp = make_classical(rng, 4, 5, alpha)
-        qp = cp.diagonal_embedding()
-        crep = solve_classical_augustin(cp, max_iter=30, residual_tol=0.0, keep_iterates=True)
-        qrep = solve_petz_augustin(qp, max_iter=30, residual_tol=0.0, keep_iterates=True)
-        for cs, qs in zip(crep.raw_iterates, qrep.raw_iterates):
-            assert np.abs(np.diag(qs.matrix).real - cs.vector).max() <= 1e-10
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 3.0, 5.0])
+    def test_matches_quantum_on_diagonal_data(self, alpha):
+        # The raw scale of a row depends on which mixes the safeguard accepts,
+        # and the two forms can decide those differently on rounding noise;
+        # the normalized rows and F do not.
+        for seed in [*range(60), 20240811]:
+            cp = make_classical(np.random.default_rng(seed), 4, 5, alpha)
+            qp = cp.diagonal_embedding()
+            crep = solve_classical_augustin(cp, max_iter=30, residual_tol=0.0, keep_iterates=True)
+            qrep = solve_petz_augustin(qp, max_iter=30, residual_tol=0.0, keep_iterates=True)
+            for cs, qs in zip(crep.raw_iterates, qrep.raw_iterates):
+                assert np.abs(np.diag(qs.normalized).real - cs.normalized).max() <= 1e-10, seed
+                assert abs(qs.f_value - cs.f_value) <= 1e-12, seed
 
     def test_contraction_against_long_run(self, rng):
         alpha = 0.8

@@ -103,7 +103,7 @@ class TestProblems:
         states = random_density_ensemble(2, 3, 4)
         p = AugustinProblem.create(states, np.ones(3) / 3, 1.5)
         for j in range(3):
-            w = np.linalg.eigvalsh(p.states[j])
+            w = np.linalg.eigvalsh(states[j])
             expected = np.sort(w) ** 1.5
             got = np.sort(np.linalg.eigvalsh(p.state_powers[j]))
             assert np.abs(got - expected).max() <= 1e-10
