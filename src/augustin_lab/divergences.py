@@ -52,18 +52,19 @@ def _psd_power(m: np.ndarray, r: float) -> np.ndarray:
     return spec.apply(np.clip(spec.eigenvalues, 0.0, None) ** r)
 
 
-def _worker_count(environ, cores: int) -> int:
-    """Cores that BLAS leaves idle: ``cores // k`` for a BLAS pinned to k
-    threads by ``OPENBLAS_NUM_THREADS`` (else ``OMP_NUM_THREADS``), and 1 when
-    neither is set, since BLAS then starts a thread on every core."""
+def _idle_core(environ, cores: int) -> bool:
+    """Whether BLAS leaves a second worker a core of its own: it is pinned to
+    k threads by ``OPENBLAS_NUM_THREADS`` (else ``OMP_NUM_THREADS``) and
+    ``cores >= 2k``.  Neither set means no, since BLAS then starts a thread on
+    every core."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             threads = int(environ.get(name, ""))
         except ValueError:
             continue
         if threads >= 1:
-            return max(1, cores // threads)
-    return 1
+            return cores >= 2 * threads
+    return False
 
 
 def _usable_cores() -> int:
@@ -73,34 +74,30 @@ def _usable_cores() -> int:
 
 
 # Read once: BLAS reads its thread count when numpy loads it.
-WORKERS = _worker_count(os.environ, _usable_cores())
+SPLIT = _idle_core(os.environ, _usable_cores())
 POWER_BLOCK = 4  # states per LAPACK call; a small problem makes one call
-SPLIT_MIN_ENTRIES = 1 << 15  # stacks with fewer entries are built serially
+# Integer orders up to 7 take at most 4 products, under half an eigh at d=128.
+MAX_PRODUCT_ORDER = 7
 
 
 def _fill_powers(stack: np.ndarray, order: float) -> None:
     """Overwrite a block of Hermitian states with their ``order`` powers.
 
-    An integer order k >= 2 takes binary powering by stacked products and a
-    stacked Cholesky factor of A + DENSITY_ATOL * I as its PSD check; any
-    other order takes a stacked ``eigh``, each power reassembled from its
-    clipped spectrum.  Raises InvalidInput at the first state that is not PSD.
-    Calls numpy alone, never a library function, so it may run on a helper
-    thread unseen by anything that wraps the library's functions.
+    An integer order from 2 to ``MAX_PRODUCT_ORDER`` takes binary powering by
+    stacked products, with a stacked Cholesky factor of A + DENSITY_ATOL * I
+    as its PSD check; eigenvalues in [-DENSITY_ATOL, 0) are not clipped, which
+    moves a power by at most DENSITY_ATOL**2.  Any other order takes a stacked
+    ``eigh``, each power reassembled from its clipped spectrum.  Raises
+    InvalidInput at the first state that is not PSD.  Calls numpy alone, never
+    a library function, so it may run on a helper thread unseen by anything
+    that wraps the library's functions.
     """
-    if order >= 2 and order == int(order):
+    if order == int(order) and 2 <= order <= MAX_PRODUCT_ORDER:
         try:
             np.linalg.cholesky(stack + DENSITY_ATOL * np.eye(stack.shape[-1]))
         except np.linalg.LinAlgError:
             _check_psd(np.linalg.eigvalsh(stack))
-        k, base, power = int(order), stack, None
-        while k:
-            if k & 1:
-                power = base if power is None else power @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        stack[...] = power
+        stack[...] = np.linalg.matrix_power(stack, int(order))
         return
     lam, vecs = np.linalg.eigh(stack)  # eigenvalues in increasing order
     _check_psd(lam)
@@ -122,13 +119,13 @@ def _fill_range(stack: np.ndarray, order: float) -> None:
 
 def _fill_all(stack: np.ndarray, order: float) -> None:
     """Fill the stack with powers, split in two halves over two threads when
-    BLAS leaves a core idle and the stack is large enough to pay for it.
+    BLAS leaves a core idle and the stack holds more than one block.
 
     The caller's thread takes the first half, so the first bad state raises
     the same error as in a serial fill; the helper's error is re-raised here.
     """
     n = stack.shape[0]
-    if WORKERS < 2 or n <= POWER_BLOCK or stack.size < SPLIT_MIN_ENTRIES:
+    if not SPLIT or n <= POWER_BLOCK:
         _fill_range(stack, order)
         return
     half = -(-n // (2 * POWER_BLOCK)) * POWER_BLOCK
@@ -170,8 +167,10 @@ class AugustinProblem:
         Each hermitized state is copied into the stack; the unit-trace check,
         the full-rank check of their sum and the weights check run on it
         before the powers overwrite it block by block (see ``_fill_powers``).
-        Powers at non-integer orders are identical to the last bit at any
-        worker count; integer orders are exact products up to rounding.
+        Powers taken by ``eigh`` (non-integer orders, and integer orders above
+        ``MAX_PRODUCT_ORDER``) are identical to the last bit whether or not
+        the fill is split; integer orders from 2 to ``MAX_PRODUCT_ORDER`` are
+        products, within 4e-15 of the stack's norm of the ``eigh`` powers.
         """
         order = _check_order(order)
         states = list(states)

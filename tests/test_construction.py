@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from augustin_lab import divergences
+from augustin_lab.augustin import solve_petz_augustin
 from augustin_lab.divergences import DENSITY_ATOL, AugustinProblem
 from augustin_lab.errors import InvalidInput
 from augustin_lab.linalg import random_density_ensemble
@@ -71,19 +72,19 @@ class TestSplit:
     @pytest.mark.parametrize("order", [0.8, 1.5])
     def test_split_powers_are_bit_identical(self, monkeypatch, threads_started, states, order):
         weights = np.full(N, 1.0 / N)
-        monkeypatch.setattr(divergences, "WORKERS", 1)
+        monkeypatch.setattr(divergences, "SPLIT", False)
         serial = AugustinProblem.create(states, weights, order).state_powers
         assert threads_started == []
-        monkeypatch.setattr(divergences, "WORKERS", 2)
+        monkeypatch.setattr(divergences, "SPLIT", True)
         split = AugustinProblem.create(states, weights, order).state_powers
         assert len(threads_started) == 1
         assert np.array_equal(serial, split)
 
     def test_split_under_fast_thread_switching(self, monkeypatch, states):
         weights = np.full(N, 1.0 / N)
-        monkeypatch.setattr(divergences, "WORKERS", 1)
+        monkeypatch.setattr(divergences, "SPLIT", False)
         serial = AugustinProblem.create(states, weights, 3.0).state_powers
-        monkeypatch.setattr(divergences, "WORKERS", 2)
+        monkeypatch.setattr(divergences, "SPLIT", True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -93,17 +94,17 @@ class TestSplit:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_small_stack_stays_serial(self, monkeypatch, threads_started):
-        monkeypatch.setattr(divergences, "WORKERS", 2)
+    def test_one_block_stays_serial(self, monkeypatch, threads_started):
+        # capacity's 4 states at d=2 make one LAPACK call on the caller's thread
+        monkeypatch.setattr(divergences, "SPLIT", True)
         AugustinProblem.create(random_density_ensemble(1, 4, 2), np.full(4, 0.25), 0.8)
-        AugustinProblem.create(random_density_ensemble(1, 8, 2), np.full(8, 0.125), 0.8)
         assert threads_started == []
 
     @pytest.mark.parametrize("order", [0.8, 3.0])
     def test_non_psd_state_raises_the_same_error_in_either_half(
         self, monkeypatch, threads_started, states, order
     ):
-        monkeypatch.setattr(divergences, "WORKERS", 2)
+        monkeypatch.setattr(divergences, "SPLIT", True)
         messages = []
         for j in (1, N - 2):
             bad = list(states)
@@ -115,7 +116,7 @@ class TestSplit:
         assert messages == ["matrix is not PSD: min eigenvalue -1.000e-03"] * 2
 
     def test_first_bad_state_wins_when_both_halves_fail(self, monkeypatch, states):
-        monkeypatch.setattr(divergences, "WORKERS", 2)
+        monkeypatch.setattr(divergences, "SPLIT", True)
         bad = list(states)
         bad[N - 2] = _non_psd(D)
         bad[1] = _non_psd(D, low=-2e-3)
@@ -123,9 +124,9 @@ class TestSplit:
             AugustinProblem.create(bad, np.full(N, 1.0 / N), 0.8)
 
     @pytest.mark.parametrize("order", [0.8, 3.0])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_trace_and_rank_checks_in_either_half(self, monkeypatch, states, order, workers):
-        monkeypatch.setattr(divergences, "WORKERS", workers)
+    @pytest.mark.parametrize("split", [False, True])
+    def test_trace_and_rank_checks_in_either_half(self, monkeypatch, states, order, split):
+        monkeypatch.setattr(divergences, "SPLIT", split)
         weights = np.full(N, 1.0 / N)
         for j in (1, N - 2):
             bad = list(states)
@@ -142,7 +143,7 @@ class TestSplit:
             AugustinProblem.create(embedded, weights, order)
 
     def test_helper_error_is_raised_on_the_caller(self, monkeypatch, states):
-        monkeypatch.setattr(divergences, "WORKERS", 2)
+        monkeypatch.setattr(divergences, "SPLIT", True)
         original = divergences._fill_powers
         caller, running = threading.current_thread(), threading.active_count()
 
@@ -159,12 +160,46 @@ class TestSplit:
 
 class TestIntegerOrders:
     @pytest.mark.parametrize("family", ["ginibre", "rank4", "rank1"])
-    @pytest.mark.parametrize("order", [2.0, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("order", [2.0, 3.0, 4.0, 5.0, 7.0])
     def test_products_agree_with_eigh(self, family, order):
         # stated tolerance: 4e-15 of the stack's Frobenius norm
         states = _family(family, 11, 8, 48)
         got = AugustinProblem.create(states, np.full(8, 1 / 8), order).state_powers
         want = _eigh_powers(states, order)
+        assert np.linalg.norm(got - want) <= 4e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("order", [3.0, 5.0])
+    def test_final_iterates_follow_the_eigh_route(self, monkeypatch, order):
+        # Ginibre states only: on the rank-4 family the solver amplifies the
+        # 1-ulp change of the powers (up to 9e-15 at n=8, d=32, order 5).
+        for seed in range(5):
+            states = _family("ginibre", seed, 8, 32)
+            got = solve_petz_augustin(AugustinProblem.create(states, np.full(8, 1 / 8), order))
+            monkeypatch.setattr(divergences, "MAX_PRODUCT_ORDER", 1)
+            want = solve_petz_augustin(AugustinProblem.create(states, np.full(8, 1 / 8), order))
+            monkeypatch.undo()
+            assert (got.stop_reason, len(got.iterates.rows)) == (
+                want.stop_reason,
+                len(want.iterates.rows),
+            )
+            assert np.abs(got.final - want.final).max() <= 2e-16
+
+    def test_large_integer_orders_take_eigh(self, monkeypatch):
+        calls = []
+        matrix_power = np.linalg.matrix_power
+
+        def counted(a, k):
+            calls.append(k)
+            return matrix_power(a, k)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        states = _family("ginibre", 11, 4, 8)
+        for order in (7.0, 8.0, 1e300):
+            p = AugustinProblem.create(states, np.full(4, 0.25), order)
+            assert np.all(np.isfinite(p.state_powers))
+        assert calls == [7]
+        want = _eigh_powers(states, 8.0)
+        got = AugustinProblem.create(states, np.full(4, 0.25), 8.0).state_powers
         assert np.linalg.norm(got - want) <= 4e-15 * np.linalg.norm(want)
 
     def test_psd_state_at_the_tolerance_is_accepted(self):
@@ -187,9 +222,9 @@ class TestIntegerOrders:
 
 class TestOneStack:
     @pytest.mark.parametrize("order", [0.8, 3.0])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_peak_memory_is_below_two_stacks(self, monkeypatch, states, order, workers):
-        monkeypatch.setattr(divergences, "WORKERS", workers)
+    @pytest.mark.parametrize("split", [False, True])
+    def test_peak_memory_is_below_two_stacks(self, monkeypatch, states, order, split):
+        monkeypatch.setattr(divergences, "SPLIT", split)
         one_stack = N * D * D * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
@@ -213,32 +248,33 @@ class TestOneStack:
 
 
 class TestWorkerRule:
-    def test_no_blas_variable_means_one_worker(self):
-        assert divergences._worker_count({}, 2) == 1
-        assert divergences._worker_count({}, 64) == 1
+    def test_no_blas_variable_means_no_split(self):
+        assert divergences._idle_core({}, 2) is False
+        assert divergences._idle_core({}, 64) is False
 
     @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-    def test_cores_over_blas_threads(self, name, threads):
-        assert divergences._worker_count({name: str(threads)}, 8) == 8 // threads
-        assert divergences._worker_count({name: str(threads)}, 2) == max(1, 2 // threads)
+    def test_split_when_cores_hold_two_blas_pools(self, name, threads):
+        assert divergences._idle_core({name: str(threads)}, 8) is (8 // threads >= 2)
+        assert divergences._idle_core({name: str(threads)}, 2) is (threads == 1)
 
     def test_openblas_variable_wins_and_junk_is_ignored(self):
         env = {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}
-        assert divergences._worker_count(env, 8) == 2
-        assert divergences._worker_count({"OPENBLAS_NUM_THREADS": "x"}, 8) == 1
-        assert divergences._worker_count({"OPENBLAS_NUM_THREADS": "0"}, 8) == 1
+        assert divergences._idle_core(env, 4) is False
+        assert divergences._idle_core(env, 8) is True
+        assert divergences._idle_core({"OPENBLAS_NUM_THREADS": "x"}, 8) is False
+        assert divergences._idle_core({"OPENBLAS_NUM_THREADS": "0"}, 8) is False
 
     def test_read_once_at_import(self):
         env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
         env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        argv = [sys.executable, "-c", "import augustin_lab.divergences as d; print(d.WORKERS)"]
+        argv = [sys.executable, "-c", "import augustin_lab.divergences as d; print(d.SPLIT)"]
 
-        def workers(**extra):
+        def split(**extra):
             done = subprocess.run(
                 argv, env={**env, **extra}, capture_output=True, text=True, timeout=60
             )
-            return int(done.stdout)
+            return done.stdout.strip()
 
-        assert workers() == 1
-        assert workers(OPENBLAS_NUM_THREADS="1") == divergences._usable_cores()
+        assert split() == "False"
+        assert split(OPENBLAS_NUM_THREADS="1") == str(divergences._usable_cores() >= 2)
