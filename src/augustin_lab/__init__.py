@@ -9,19 +9,15 @@ dynamic for CES Fisher markets with the same contraction structure.
 
 from .augustin import (
     apply_T_F,
-    apply_T_f,
     augustin_classical_baseline_step,
     cheng_dual_step,
-    classical_augustin_step,
     contraction_factor,
     dual_objective_H,
     emd_polyak_run,
     emd_polyak_step,
-    initial_classical_state,
     initial_state,
     make_dual_state,
     petz_augustin_step,
-    solve_classical_augustin,
     solve_petz_augustin,
     DualState,
     IterateState,

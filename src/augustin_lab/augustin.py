@@ -88,17 +88,26 @@ def _coefficients(problem: Problem, pairings: np.ndarray) -> np.ndarray:
     return problem.weights / pairings
 
 
+def _powers(problem: Problem) -> np.ndarray:
+    """The (n, d, d) stack of state powers, or the (n, d) rows of point powers."""
+    if isinstance(problem, ClassicalAugustinProblem):
+        return problem.point_powers
+    return problem.state_powers
+
+
 def _combination(problem: Problem, coeff: np.ndarray) -> np.ndarray:
-    vector = isinstance(problem, ClassicalAugustinProblem)
-    return np.tensordot(coeff, problem.point_powers if vector else problem.state_powers, axes=1)
+    """sum_j c_j A_j^alpha as one real GEMV on the flat stack: real
+    coefficients scale the real and imaginary parts alike."""
+    powers = _powers(problem)
+    flat = coeff @ powers.view(float).reshape(len(powers), -1)
+    return flat.view(powers.dtype).reshape(powers.shape[1:])
 
 
 def _pairings(problem: Problem, power: np.ndarray) -> np.ndarray:
     """Tr[A_j^alpha P] for every j (for vectors, <a_j^alpha, p>) as one real
     GEMV: for Hermitian P, Re Tr[A P] = sum_ik Re A_ik Re P_ik + Im A_ik Im P_ik,
     so P is not conjugated."""
-    vector = isinstance(problem, ClassicalAugustinProblem)
-    powers = problem.point_powers if vector else problem.state_powers
+    powers = _powers(problem)
     if power.dtype != powers.dtype:
         # a real start of complex states, or a complex start of real ones
         power = power.astype(powers.dtype) if np.iscomplexobj(powers) else power.real
@@ -126,22 +135,21 @@ def _spectral_split(problem: Problem, s: np.ndarray):
     return lam, Spectrum(lam, vecs).apply
 
 
-def apply_T_F(problem: AugustinProblem, u: np.ndarray) -> np.ndarray:
-    """Apply the contraction operator to a positive definite matrix U."""
-    u = hermitize(u)
+def apply_T_F(problem: Problem, u: np.ndarray) -> np.ndarray:
+    """Apply the contraction operator to a positive definite matrix U, or
+    coordinatewise to a strictly positive vector for a
+    :class:`ClassicalAugustinProblem`.  A combination with an eigenvalue at
+    or below the relative floor raises :class:`SingularMatrix`."""
+    if isinstance(problem, ClassicalAugustinProblem):
+        u = np.asarray(u, dtype=float)
+        if not np.all(u > 0):
+            raise InvalidInput("operator argument must be strictly positive")
+    else:
+        u = hermitize(u)
     s = _combination(problem, _coefficients(problem, _pairings(problem, u)))
+    lam, rebuild = _spectral_split(problem, s)
     alpha = problem.order
-    return matrix_power(s, (1.0 - alpha) / alpha)
-
-
-def apply_T_f(problem: ClassicalAugustinProblem, u: np.ndarray) -> np.ndarray:
-    """Coordinatewise analogue of :func:`apply_T_F` on positive vectors."""
-    u = np.asarray(u, dtype=float)
-    if not np.all(u > 0):
-        raise InvalidInput("operator argument must be strictly positive")
-    s = _combination(problem, _coefficients(problem, _pairings(problem, u)))
-    alpha = problem.order
-    return s ** ((1.0 - alpha) / alpha)
+    return rebuild(lam ** ((1.0 - alpha) / alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +202,6 @@ class IterateState:
     @property
     def normalized(self) -> np.ndarray:
         return self.matrix / self.trace
-
-    @property
-    def vector(self) -> np.ndarray:
-        """The iterate of the commuting form; the same array as ``matrix``."""
-        return self.matrix
-
-    @property
-    def total(self) -> float:
-        """The coordinate sum of the commuting form; the same as ``trace``."""
-        return self.trace
 
 
 def _f_value(problem: Problem, pairings: np.ndarray, trace: float) -> float:
@@ -284,11 +282,6 @@ def petz_augustin_step(problem: Problem, state: IterateState) -> IterateState:
     q_vals = lam ** (1.0 / alpha)
     p_new = rebuild(lam ** ((1.0 - alpha) / alpha))
     return _iterate(problem, state.step + 1, rebuild(q_vals), p_new, float(q_vals.sum()), coeff)
-
-
-# The commuting form runs through the same kernel.
-initial_classical_state = initial_state
-classical_augustin_step = petz_augustin_step
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +595,6 @@ def solve_petz_augustin(
     )
 
 
-solve_classical_augustin = solve_petz_augustin
-
-
 # ---------------------------------------------------------------------------
 # dual-space iteration (equivalence baseline)
 # ---------------------------------------------------------------------------
@@ -625,15 +615,14 @@ def make_dual_state(problem: AugustinProblem, v: np.ndarray) -> DualState:
     if v.shape != (problem.n,):
         raise InvalidInput(f"expected {problem.n} dual coordinates, got {v.shape}")
     coeff = problem.weights * np.exp((1.0 - alpha) * v)
-    s = np.tensordot(coeff, problem.state_powers, axes=1)
-    return DualState(v=v, mu=matrix_power(s, 1.0 / alpha))
+    return DualState(v=v, mu=matrix_power(_combination(problem, coeff), 1.0 / alpha))
 
 
 def cheng_dual_step(problem: AugustinProblem, state: DualState) -> DualState:
     """Dual update v_j <- divergence of A_j from mu(v)."""
     alpha = problem.order
     pair = pairing_traces(problem.state_powers, alpha, state.mu)
-    v_new = np.array([divergence_from_pairing(float(p), alpha) for p in pair])
+    v_new = divergence_from_pairing(pair, alpha)
     if not np.all(np.isfinite(v_new)):
         raise DegenerateTrace("dual update produced non-finite divergences")
     return make_dual_state(problem, v_new)

@@ -141,9 +141,7 @@ def approx_oracle_detailed(
             f"within {MAX_INNER_ITERS} inner sweeps"
         )
     state = _renormalized(report.state, alpha)
-    divs = np.array(
-        [divergence_from_pairing(float(p), alpha) for p in state.pairings]
-    )
+    divs = divergence_from_pairing(state.pairings, alpha)
     if not np.all(np.isfinite(divs)):
         raise NonFinite("inner solve produced non-finite divergences")
     grad_hat = -divs

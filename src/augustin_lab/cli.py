@@ -225,7 +225,7 @@ def run_divergence_demo(cfg: ExperimentConfig) -> int:
             problem, steps=cfg.polyak_steps, f_best=f_grid - 1e-4
         )
         reference = polyak.best_point / polyak.best_point.sum()
-        report = augustin.solve_classical_augustin(
+        report = augustin.solve_petz_augustin(
             problem,
             max_iter=cfg.iters,
             residual_tol=0.0,

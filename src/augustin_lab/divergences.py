@@ -46,12 +46,6 @@ def _check_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def _psd_power(m: np.ndarray, r: float) -> np.ndarray:
-    # r > 0 power of a PSD matrix; clipped negatives are rounding noise.
-    spec = hermitian_eig(m)
-    return spec.apply(np.clip(spec.eigenvalues, 0.0, None) ** r)
-
-
 def _idle_core(environ, cores: int) -> bool:
     """Whether BLAS leaves a second worker a core of its own: it is pinned to
     k threads by ``OPENBLAS_NUM_THREADS`` (else ``OMP_NUM_THREADS``) and
@@ -176,7 +170,8 @@ class AugustinProblem:
         states = list(states)
         if not states:
             raise InvalidInput("expected at least one state")
-        dtype = np.result_type(*(np.asarray(s).dtype for s in states), 1.0)
+        # at least double precision: the sweep reads the stack as float64 pairs
+        dtype = np.result_type(*(np.asarray(s).dtype for s in states), np.float64)
         for j, s in enumerate(states):
             a = hermitize(s)
             if j == 0:
@@ -268,38 +263,45 @@ def pairing_traces(state_powers: np.ndarray, alpha: float, q: np.ndarray) -> np.
     return pair
 
 
-def divergence_from_pairing(tr: float, alpha: float) -> float:
-    """Map a trace pairing value to the divergence, with the degenerate guard."""
-    if tr == INF:
-        return INF
-    if tr <= 0.0:
+def divergence_from_pairing(pairings: np.ndarray, alpha: float) -> np.ndarray:
+    """Map an array of trace pairings to the divergences log(p) / (alpha - 1).
+
+    +inf stays +inf.  A non-positive entry is +inf below order 1, where it
+    means orthogonal supports; above order 1 it is clamped to ``EIG_FLOOR``,
+    with one :class:`DegenerateTraceWarning` per call.
+    """
+    p = np.asarray(pairings, dtype=float)
+    if p.min() <= 0.0:
+        low = p <= 0.0
         if alpha < 1:
-            # Orthogonal supports: the pairing is genuinely zero.
-            return INF
-        warnings.warn(
-            f"trace pairing {tr!r} clamped to {EIG_FLOOR}", DegenerateTraceWarning
-        )
-        tr = EIG_FLOOR
-    return math.log(tr) / (alpha - 1.0)
+            p = np.where(low, INF, p)
+        else:
+            warnings.warn(
+                f"trace pairings {p[low]} clamped to {EIG_FLOOR}", DegenerateTraceWarning
+            )
+            p = np.where(low, EIG_FLOOR, p)
+    d = np.log(p) / (alpha - 1.0)
+    if alpha < 1 and p.max() == INF:
+        d = np.where(p == INF, INF, d)  # log(+inf) / (alpha - 1) reads -inf
+    return d
 
 
 def weighted_divergence(weights: np.ndarray, pairings: np.ndarray, alpha: float) -> float:
-    """sum_j w_j D_j from the pairings, summed in index order; +inf is absorbing."""
-    total = 0.0
-    for wj, pj in zip(weights, pairings):
-        d = divergence_from_pairing(float(pj), alpha)
-        if d == INF:
-            return INF
-        total += wj * d
-    return total
+    """sum_j w_j D_j from the pairings; +inf is absorbing."""
+    d = divergence_from_pairing(pairings, alpha)
+    return INF if (d == INF).any() else float(weights @ d)
 
 
 def petz_renyi_divergence(a: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """Divergence of order alpha between a state ``a`` and PSD ``q``; may be +inf."""
+    """Divergence of order alpha between a state ``a`` and PSD ``q``; may be +inf.
+
+    ``a`` is powered as the states of a problem are (see ``_fill_powers``), so
+    one that is not PSD raises :class:`InvalidInput`.
+    """
     alpha = _check_order(alpha)
-    a_power = _psd_power(hermitize(a), alpha)
-    tr = pairing_traces(a_power[None, :, :], alpha, q)[0]
-    return divergence_from_pairing(float(tr), alpha)
+    a_power = hermitize(a)[None]
+    _fill_powers(a_power, alpha)
+    return float(divergence_from_pairing(pairing_traces(a_power, alpha, q), alpha)[0])
 
 
 def objective_F(problem: AugustinProblem, q: np.ndarray) -> float:

@@ -102,7 +102,7 @@ def _g_value(problem: CapacityProblem, w: np.ndarray) -> float:
     inner = problem.weighted(w)
     report = solve_petz_augustin(inner, max_iter=1000, residual_tol=1e-10)
     pair = pairing_traces(inner.state_powers, inner.order, report.final)
-    divs = [divergence_from_pairing(float(p), inner.order) for p in pair]
+    divs = divergence_from_pairing(pair, inner.order)
     return -float(np.dot(inner.weights, divs))
 
 

@@ -18,14 +18,11 @@ from augustin_lab.augustin import (
     apply_T_F,
     augustin_classical_baseline_step,
     cheng_dual_step,
-    classical_augustin_step,
     contraction_factor,
     emd_polyak_run,
-    initial_classical_state,
     initial_state,
     make_dual_state,
     petz_augustin_step,
-    solve_classical_augustin,
     solve_petz_augustin,
 )
 from augustin_lab.capacity import CapacityProblem, solve_capacity, approx_oracle
@@ -182,14 +179,14 @@ def test_c05_commuting_equivalence():
         pts = rng.dirichlet(np.ones(16), size=8)
         classical = ClassicalAugustinProblem.create(pts, np.full(8, 1 / 8), alpha)
         quantum = classical.diagonal_embedding()
-        c_state = initial_classical_state(classical, np.full(16, 1 / 16))
+        c_state = initial_state(classical, np.full(16, 1 / 16))
         q_state = initial_state(quantum, np.eye(16, dtype=complex) / 16)
         for _ in range(50):
-            c_state = classical_augustin_step(classical, c_state)
+            c_state = petz_augustin_step(classical, c_state)
             q_state = petz_augustin_step(quantum, q_state)
             worst = max(
                 worst,
-                float(np.abs(np.diag(q_state.matrix).real - c_state.vector).max()),
+                float(np.abs(np.diag(q_state.matrix).real - c_state.matrix).max()),
             )
     _verdict(5, "commuting quantum/classical agreement", worst <= 1e-10, f"max dev {worst:.2e}")
 
@@ -396,7 +393,7 @@ def demo_runs():
         _, f_grid = grid_min_classical_augustin(problem, 1000)
         polyak = emd_polyak_run(problem, steps=1000, f_best=f_grid - 1e-4)
         reference = polyak.best_point / polyak.best_point.sum()
-        report = solve_classical_augustin(
+        report = solve_petz_augustin(
             problem, max_iter=60, residual_tol=0.0, reference=reference
         )
         runs[alpha] = (problem, polyak, report)
@@ -464,11 +461,11 @@ def test_c13_reweighting_reduction():
                 [a_raw / a_raw.sum()], [1.0], alpha
             )
             start = np.full(6, 1 / 6)
-            report = solve_classical_augustin(
+            report = solve_petz_augustin(
                 problem, q1=start, max_iter=30, residual_tol=0.0, keep_iterates=True
             )
             u = start.copy()
             for state in report.raw_iterates[1:]:
                 u = (a_raw**alpha / np.dot(a_raw**alpha, u ** (1 - alpha))) ** (1 / alpha)
-                worst = max(worst, float(np.abs(state.vector - u).max() / max(1.0, u.max())))
+                worst = max(worst, float(np.abs(state.matrix - u).max() / max(1.0, u.max())))
     _verdict(13, "diagonal reweighting reduction", worst <= 1e-10, f"max dev {worst:.1e}")

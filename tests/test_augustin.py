@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from augustin_lab import augustin
 from augustin_lab.augustin import (
     DEFAULT_RESIDUAL_TOL,
     PolyakRun,
@@ -10,20 +11,16 @@ from augustin_lab.augustin import (
     STOP_NON_FINITE,
     STOP_RESIDUAL,
     apply_T_F,
-    apply_T_f,
     augustin_classical_baseline_step,
     cheng_dual_step,
-    classical_augustin_step,
     classical_gradient,
     contraction_factor,
     dual_objective_H,
     emd_polyak_run,
     emd_polyak_step,
-    initial_classical_state,
     initial_state,
     make_dual_state,
     petz_augustin_step,
-    solve_classical_augustin,
     solve_petz_augustin,
 )
 from augustin_lab.divergences import (
@@ -72,7 +69,7 @@ class TestOperator:
         cp = make_classical(rng, 3, 4, alpha)
         qp = cp.diagonal_embedding()
         u = rng.uniform(0.2, 2.0, size=4)
-        vec = apply_T_f(cp, u)
+        vec = apply_T_F(cp, u)
         mat = apply_T_F(qp, np.diag(u.astype(complex)))
         assert np.abs(np.diag(mat).real - vec).max() <= 1e-12 * (1 + vec.max())
 
@@ -106,7 +103,7 @@ class TestOperator:
     def test_classical_operator_positive_input_required(self, rng):
         cp = make_classical(rng, 2, 3, 1.5)
         with pytest.raises(InvalidInput):
-            apply_T_f(cp, np.array([1.0, 0.0, 1.0]))
+            apply_T_F(cp, np.array([1.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5, 3.0])
     def test_classical_single_point_fixed_point(self, rng, alpha):
@@ -114,7 +111,7 @@ class TestOperator:
         a = a / a.sum()
         cp = ClassicalAugustinProblem.create([a], [1.0], alpha)
         u = a ** (1.0 - alpha)
-        out = apply_T_f(cp, u)
+        out = apply_T_F(cp, u)
         assert thompson_metric_vec(out, u) <= 1e-12
 
     def test_collapsed_pairing_raises(self):
@@ -123,6 +120,41 @@ class TestOperator:
         p = make_problem(51, 2, 3, 2.0)
         with pytest.raises(DegenerateTrace):
             apply_T_F(p, 1e-15 * np.eye(3, dtype=complex))
+
+
+class TestCombination:
+    """The combination sum_j c_j A_j^alpha, one GEMV on the flat stack."""
+
+    @staticmethod
+    def assert_matches_tensordot(problem, powers):
+        c = np.random.default_rng(3).uniform(0.1, 2.0, problem.n)
+        got = augustin._combination(problem, c)
+        ref = np.tensordot(c, powers, axes=1)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_complex_stack(self):
+        p = make_problem(52, 6, 5, 1.5)
+        assert np.iscomplexobj(p.state_powers)
+        self.assert_matches_tensordot(p, p.state_powers)
+
+    def test_real_stack(self, rng):
+        states = [random_spd(rng, 5, complex_entries=False) for _ in range(6)]
+        p = AugustinProblem.create([s / np.trace(s) for s in states], np.full(6, 1 / 6), 0.8)
+        assert p.state_powers.dtype == np.float64
+        self.assert_matches_tensordot(p, p.state_powers)
+
+    def test_vector_problem(self, rng):
+        p = make_classical(rng, 6, 5, 1.5)
+        self.assert_matches_tensordot(p, p.point_powers)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 3.0])
+    def test_operator_matches_the_matrix_power(self, rng, alpha):
+        p = make_problem(53, 4, 5, alpha)
+        u = random_spd(rng, 5)
+        s = augustin._combination(p, augustin._coefficients(p, augustin._pairings(p, u)))
+        ref = matrix_power(s, (1.0 - alpha) / alpha)
+        assert np.abs(apply_T_F(p, u) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestStep:
@@ -224,7 +256,7 @@ class TestSolver:
             [[0.9, 0.09, 0.01], [0.009, 0.99, 0.001], [0.0001, 0.0009, 0.999]]
         )
         p = ClassicalAugustinProblem.create(pts, np.ones(3) / 3, alpha)
-        report = solve_classical_augustin(p, max_iter=60, residual_tol=0.0)
+        report = solve_petz_augustin(p, max_iter=60, residual_tol=0.0)
         assert not report.guaranteed
         assert report.stop_reason == STOP_MAX_ITER  # normalized carry avoids overflow
         assert len(report.iterates) == 61
@@ -302,7 +334,7 @@ class TestSolver:
         from augustin_lab import augustin
 
         def underflow_at_sweep_2(problem, state):
-            new = classical_augustin_step(problem, state)
+            new = petz_augustin_step(problem, state)
             if new.step < 2:
                 return new
             power = new.power.copy()
@@ -311,7 +343,7 @@ class TestSolver:
 
         monkeypatch.setattr(augustin, "petz_augustin_step", underflow_at_sweep_2)
         p = make_classical(np.random.default_rng(70), 3, 4, 1.5)
-        report = solve_classical_augustin(p, max_iter=10, residual_tol=0.0)
+        report = solve_petz_augustin(p, max_iter=10, residual_tol=0.0)
         assert report.stop_reason == STOP_NON_FINITE
         assert len(report.iterates) == 2  # init + the first sweep
 
@@ -350,7 +382,7 @@ class TestSolver:
     def test_non_positive_vector_start_rejected(self, rng):
         p = make_classical(rng, 2, 3, 1.5)
         with pytest.raises(InvalidInput):
-            solve_classical_augustin(p, np.array([0.5, 0.5, 0.0]))
+            solve_petz_augustin(p, np.array([0.5, 0.5, 0.0]))
 
     def test_trace_persists_as_csv_and_json(self, tmp_path):
         import csv as csv_mod
@@ -368,7 +400,7 @@ class TestClassicalSolver:
     def test_single_point_one_step(self, rng):
         a = random_simplex(rng, 4)
         p = ClassicalAugustinProblem.create([a], [1.0], 1.5)
-        report = solve_classical_augustin(p)
+        report = solve_petz_augustin(p)
         assert report.converged
         assert np.abs(report.final - a).max() <= 1e-10
 
@@ -380,7 +412,7 @@ class TestClassicalSolver:
         for seed in [*range(60), 20240811]:
             cp = make_classical(np.random.default_rng(seed), 4, 5, alpha)
             qp = cp.diagonal_embedding()
-            crep = solve_classical_augustin(cp, max_iter=30, residual_tol=0.0, keep_iterates=True)
+            crep = solve_petz_augustin(cp, max_iter=30, residual_tol=0.0, keep_iterates=True)
             qrep = solve_petz_augustin(qp, max_iter=30, residual_tol=0.0, keep_iterates=True)
             for cs, qs in zip(crep.raw_iterates, qrep.raw_iterates):
                 assert np.abs(np.diag(qs.normalized).real - cs.normalized).max() <= 1e-10, seed
@@ -389,12 +421,12 @@ class TestClassicalSolver:
     def test_contraction_against_long_run(self, rng):
         alpha = 0.8
         p = make_classical(rng, 5, 6, alpha)
-        state = initial_classical_state(p, np.full(6, 1 / 6))
+        state = initial_state(p, np.full(6, 1 / 6))
         states = [state]
         for _ in range(200):
-            state = classical_augustin_step(p, state)
+            state = petz_augustin_step(p, state)
             states.append(state)
-        ref_power = state.power * state.total ** (alpha - 1.0)
+        ref_power = state.power * state.trace ** (alpha - 1.0)
         kappa = contraction_factor(alpha)
         checked = 0
         for t in range(len(states) - 1):
@@ -417,13 +449,13 @@ class TestClassicalSolver:
             [a_raw / a_raw.sum()], [1.0], alpha
         )
         start = np.full(5, 0.2)
-        report = solve_classical_augustin(
+        report = solve_petz_augustin(
             problem, q1=start, max_iter=30, residual_tol=0.0, keep_iterates=True
         )
         u = start.copy()
         for state in report.raw_iterates[1:]:
             u = (a_raw**alpha / np.dot(a_raw**alpha, u ** (1 - alpha))) ** (1 / alpha)
-            assert np.abs(state.vector - u).max() <= 1e-10 * (1 + u.max())
+            assert np.abs(state.matrix - u).max() <= 1e-10 * (1 + u.max())
 
 
 class TestDualIteration:
@@ -500,7 +532,7 @@ class TestClassicalBaseline:
 
     def test_fixed_point_shared_with_sweep(self, rng):
         p = make_classical(rng, 4, 4, 1.5)
-        q_star = solve_classical_augustin(p, max_iter=500, residual_tol=1e-14).final
+        q_star = solve_petz_augustin(p, max_iter=500, residual_tol=1e-14).final
         moved = augustin_classical_baseline_step(p, q_star)
         assert np.abs(moved - q_star).max() <= 1e-9
 

@@ -220,6 +220,17 @@ class TestIntegerOrders:
         assert np.array_equal(p.state_powers[0], np.diag([0.0625, 0.5625]))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_single_precision_states_are_widened(self, dtype):
+        diagonals = ([0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5])
+        states = [np.diag(v).astype(dtype) for v in diagonals]
+        wide = [s.astype(np.result_type(dtype, np.float64)) for s in states]
+        p = AugustinProblem.create(states, np.full(3, 1 / 3), 2.0)
+        ref = AugustinProblem.create(wide, np.full(3, 1 / 3), 2.0)
+        assert p.state_powers.dtype == ref.state_powers.dtype
+        assert np.array_equal(solve_petz_augustin(p).final, solve_petz_augustin(ref).final)
+
+
 class TestOneStack:
     @pytest.mark.parametrize("order", [0.8, 3.0])
     @pytest.mark.parametrize("split", [False, True])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from augustin_lab.divergences import (
     objective_F,
     objective_f,
     petz_renyi_divergence,
+    weighted_divergence,
 )
 from augustin_lab.errors import DegenerateTraceWarning, InvalidInput, InvalidOrder
 from augustin_lab.linalg import (
@@ -52,6 +54,12 @@ class TestPetzRenyiDivergence:
         a = np.diag([1.0, 0.0])
         q = np.diag([0.0, 1.0])
         assert petz_renyi_divergence(a, q, 0.5) == INF
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_non_psd_argument_raises(self, alpha):
+        # not a state: its negative eigenvalue must not be clipped away
+        with pytest.raises(InvalidInput, match="not PSD"):
+            petz_renyi_divergence(np.diag([1.2, -0.2]), np.eye(2) / 2, alpha)
 
     def test_invalid_orders(self):
         a = random_density_matrix(0, 2)
@@ -184,3 +192,43 @@ class TestObjectives:
         p = ClassicalAugustinProblem.create(pts, [0.5, 0.5], 1.5)
         q = rng.dirichlet(np.ones(3))
         assert objective_f(p, q) >= -1e-10
+
+
+class TestDivergenceMap:
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_infinity_stays_infinite(self, alpha):
+        d = divergence_from_pairing(np.array([INF, 0.5, INF]), alpha)
+        assert d[0] == INF and d[2] == INF
+        assert d[1] == pytest.approx(math.log(0.5) / (alpha - 1), rel=1e-15)
+
+    def test_non_positive_below_order_one_is_infinite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no warning of any kind
+            d = divergence_from_pairing(np.array([0.0, -1e-3, 0.25, 0.0]), 0.5)
+        assert list(d[[0, 1, 3]]) == [INF] * 3
+        assert d[2] == pytest.approx(math.log(0.25) / -0.5, rel=1e-15)
+
+    def test_non_positive_entries_above_order_one_warn_once(self):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            d = divergence_from_pairing(np.array([0.0, 0.5, -2.0, 0.0]), 1.5)
+        assert [r.category for r in record] == [DegenerateTraceWarning]
+        assert d[[0, 2, 3]] == pytest.approx([math.log(EIG_FLOOR) / 0.5] * 3, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5, 4.0])
+    def test_matches_the_scalar_formula(self, alpha):
+        pairings = np.exp(np.random.default_rng(11).uniform(-30.0, 30.0, 10_000))
+        d = divergence_from_pairing(pairings, alpha)
+        expected = np.array([math.log(p) / (alpha - 1) for p in pairings])
+        # np.log and math.log differ by at most 1 ulp, which the division by
+        # alpha - 1 can round to 2 ulps of the quotient (1 entry here at 4.0)
+        assert np.all(np.abs(d - expected) <= 2 * np.finfo(float).eps * np.abs(expected))
+
+    def test_weighted_divergence_is_infinite_when_any_entry_is(self):
+        w = np.array([0.5, 0.25, 0.25])
+        assert weighted_divergence(w, np.array([0.9, INF, 0.8]), 1.5) == INF
+        assert weighted_divergence(w, np.array([0.9, 0.8, INF]), 0.5) == INF
+        assert weighted_divergence(w, np.array([0.9, 0.0, 0.8]), 0.5) == INF
+        finite = weighted_divergence(w, np.array([0.9, 0.7, 0.8]), 0.5)
+        expected = sum(wj * math.log(p) / -0.5 for wj, p in zip(w, [0.9, 0.7, 0.8]))
+        assert finite == pytest.approx(expected, rel=1e-15)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augustin_lab.augustin import augustin_classical_baseline_step, initial_classical_state, classical_augustin_step
+from augustin_lab.augustin import augustin_classical_baseline_step, initial_state, petz_augustin_step
 from augustin_lab.divergences import ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput
 from augustin_lab.fisher import (
@@ -267,11 +267,11 @@ class TestTatonnement:
         )
         p0 = rng.uniform(0.2, 1.0, size=m.d_goods)
         state_m = PriceState.start(p0)
-        state_c = initial_classical_state(problem, p0)
+        state_c = initial_state(problem, p0)
         for _ in range(25):
             state_m = tatonnement_step(m, state_m, range(m.d_goods))
-            state_c = classical_augustin_step(problem, state_c)
-            assert np.abs(state_m.p - state_c.vector).max() <= 1e-10 * max(1, state_c.vector.max())
+            state_c = petz_augustin_step(problem, state_c)
+            assert np.abs(state_m.p - state_c.matrix).max() <= 1e-10 * max(1, state_c.matrix.max())
 
 
 class TestSchedules:

@@ -64,12 +64,12 @@ class TestGridMinClassical:
         assert f_fine <= f_coarse + 1e-12
 
     def test_sweep_value_not_above_grid(self, rng):
-        from augustin_lab.augustin import solve_classical_augustin
+        from augustin_lab.augustin import solve_petz_augustin
         from augustin_lab.divergences import objective_f
 
         pts = rng.dirichlet(np.ones(3), size=3)
         p = ClassicalAugustinProblem.create(pts, np.ones(3) / 3, 1.5)
-        report = solve_classical_augustin(p, max_iter=300, residual_tol=1e-14)
+        report = solve_petz_augustin(p, max_iter=300, residual_tol=1e-14)
         _, f_grid = grid_min_classical_augustin(p, 40)
         assert objective_f(p, report.final) <= f_grid + 1e-10
 
