@@ -23,6 +23,7 @@ method for orders without a contraction guarantee.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -135,11 +136,20 @@ def _spectral_split(problem: Problem, s: np.ndarray):
     return lam, Spectrum(lam, vecs).apply
 
 
+def _check_shape(problem: Problem, q) -> None:
+    """Refuse a matrix or vector that does not fit the problem's form and
+    dimension with :class:`InvalidInput`."""
+    shape = (problem.dim,) if isinstance(problem, ClassicalAugustinProblem) else (problem.dim,) * 2
+    if np.shape(q) != shape:
+        raise InvalidInput(f"argument of shape {np.shape(q)} does not fit a {shape} problem")
+
+
 def apply_T_F(problem: Problem, u: np.ndarray) -> np.ndarray:
     """Apply the contraction operator to a positive definite matrix U, or
     coordinatewise to a strictly positive vector for a
     :class:`ClassicalAugustinProblem`.  A combination with an eigenvalue at
     or below the relative floor raises :class:`SingularMatrix`."""
+    _check_shape(problem, u)
     if isinstance(problem, ClassicalAugustinProblem):
         u = np.asarray(u, dtype=float)
         if not np.all(u > 0):
@@ -158,24 +168,6 @@ def apply_T_F(problem: Problem, u: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MixingMemory:
-    """The Anderson memory a run carries from row to row.
-
-    ``inputs`` and ``residuals`` hold the last (at most MIX_DEPTH)
-    differences between consecutive rows of the sweep input u = log(w / c)
-    and of the residual log(pi) - u, one n-vector each, oldest first;
-    ``weights`` are the weights they were taken under.  ``active`` turns
-    False, and the differences are dropped, for the rest of the run at the
-    first rejected mix (see :func:`solve_petz_augustin`).
-    """
-
-    inputs: tuple
-    residuals: tuple
-    weights: np.ndarray
-    active: bool = True
-
-
-@dataclass(frozen=True)
 class IterateState:
     """One iterate of the fixed-point sweep, in either problem form.
 
@@ -184,10 +176,7 @@ class IterateState:
     ``pairings`` the vector Tr[A_j^alpha Q_t^(1-alpha)], ``f_value`` the
     objective at the trace-normalized iterate, and ``coefficients`` the c_j
     with Q_t = (sum_j c_j A_j^alpha)^(1/alpha) that it was swept from
-    (``None`` for a start given as a matrix or vector).  ``mixing`` is the
-    solver's Anderson memory at this row (``None`` outside a solver run at
-    an order above 1/2), so a run resumed from this state repeats the rest
-    of the original run.
+    (``None`` for a start given as a matrix or vector).
     """
 
     step: int
@@ -197,7 +186,6 @@ class IterateState:
     trace: float
     f_value: float
     coefficients: np.ndarray | None
-    mixing: MixingMemory | None = None
 
     @property
     def normalized(self) -> np.ndarray:
@@ -222,19 +210,17 @@ def initial_state(problem: Problem, q1: np.ndarray | IterateState) -> IterateSta
     for a :class:`ClassicalAugustinProblem`) as a step-0 iterate.
 
     An :class:`IterateState` of a problem with the same states and order
-    (the weights may differ) keeps its iterate, power, pairings, trace,
-    coefficients and mixing memory, and only its objective value is
-    recomputed, since the pairings do not depend on the weights; so a run
-    resumes where it left off with no eigendecomposition and no pairing
-    pass.  One of another dimension or number of states raises
+    (the weights may differ) keeps its iterate, power, pairings, trace and
+    coefficients, and only its objective value is recomputed, since the
+    pairings do not depend on the weights; so a run resumes where it left
+    off with no eigendecomposition and no pairing pass.  A start of another
+    shape, or an iterate built from another number of states, raises
     :class:`InvalidInput`.
     """
     alpha = problem.order
-    vector = isinstance(problem, ClassicalAugustinProblem)
-    if isinstance(q1, IterateState):
-        shape = (problem.dim,) if vector else (problem.dim, problem.dim)
-        if q1.matrix.shape != shape:
-            raise InvalidInput(f"iterate of shape {q1.matrix.shape} cannot start a {shape} problem")
+    resumed = isinstance(q1, IterateState)
+    _check_shape(problem, q1.matrix if resumed else q1)
+    if resumed:
         if q1.coefficients is not None and q1.coefficients.shape != (problem.n,):
             raise InvalidInput(
                 f"iterate built from {q1.coefficients.size} states cannot start a problem "
@@ -242,7 +228,7 @@ def initial_state(problem: Problem, q1: np.ndarray | IterateState) -> IterateSta
             )
         f_value = _f_value(problem, q1.pairings, q1.trace)
         return replace(q1, step=0, f_value=f_value)
-    if vector:
+    if isinstance(problem, ClassicalAugustinProblem):
         q1 = np.asarray(q1, dtype=float)
         if not np.all(q1 > 0):
             raise InvalidInput("starting vector must be strictly positive")
@@ -344,31 +330,15 @@ def certificate(problem: Problem, state: IterateState) -> float | None:
     return _oscillation(_sweep_residual(problem, state))
 
 
-def _remember(old, old_v, new, new_v, memory: MixingMemory) -> IterateState:
-    """``new`` carrying ``memory`` plus the differences from ``old`` to it."""
-    if memory.active and old_v is not None:
-        keep = 1 - MIX_DEPTH
-        memory = MixingMemory(
-            memory.inputs[keep:] + (np.log(old.coefficients / new.coefficients),),
-            memory.residuals[keep:] + (new_v - old_v,),
-            memory.weights,
-        )
-    # the constructor, not dataclasses.replace: this runs once a row
-    return IterateState(
-        new.step, new.matrix, new.power, new.pairings, new.trace, new.f_value,
-        new.coefficients, memory,
-    )
-
-
-def _guarded_sweep(problem: Problem, state: IterateState, v, kappa: float):
+def _guarded_sweep(problem: Problem, state: IterateState, v, memory, kappa: float):
     """One solver row at an order above 1/2: the Anderson-mixed point when
     the safeguard accepts it, else the plain sweep.  ``v`` is the state's
-    sweep residual (``None`` for a start without coefficients).  Returns the
-    row, its sweep residual and whether a mix was rejected."""
-    memory = state.mixing
-    rejected = False
-    if memory.active and len(memory.inputs) >= MIX_START:
-        inputs, residuals = np.array(memory.inputs), np.array(memory.residuals)
+    sweep residual (``None`` for a start without coefficients) and
+    ``memory`` the run's two deques of u- and v-differences, oldest first,
+    or ``None`` once a mix was rejected.  Returns the row, its sweep
+    residual and the memory, ``None`` from a rejected mix on."""
+    if memory is not None and len(memory[0]) >= MIX_START:
+        inputs, residuals = np.array(memory[0]), np.array(memory[1])
         centered = residuals - residuals.mean(axis=1, keepdims=True)
         gamma = np.linalg.lstsq(centered.T, v - v.mean(), rcond=None)[0]
         mixed = state.pairings * np.exp(-(inputs + residuals).T @ gamma)
@@ -379,18 +349,16 @@ def _guarded_sweep(problem: Problem, state: IterateState, v, kappa: float):
         if trial is not None:
             trial_v = _sweep_residual(problem, trial)
             if not (math.isfinite(trial.f_value) and math.isfinite(trial.trace)):
-                return trial, trial_v, False  # the solver stops it as non-finite
+                return trial, trial_v, memory  # the solver stops it as non-finite
             if (
                 _oscillation(trial_v) <= kappa * _oscillation(v)
                 and trial.f_value <= state.f_value + F_ROUNDING * max(1.0, abs(state.f_value))
                 and (problem.order < 1.0 or trial.trace <= 1.0)
             ):
-                return _remember(state, v, trial, trial_v, memory), trial_v, False
-        rejected = True
-        memory = MixingMemory((), (), problem.weights, active=False)
+                return trial, trial_v, memory
+        memory = None  # rejected: mixing stays off for the rest of the run
     new = petz_augustin_step(problem, state)
-    new_v = _sweep_residual(problem, new)
-    return _remember(state, v, new, new_v, memory), new_v, rejected
+    return new, _sweep_residual(problem, new), memory
 
 
 def solve_petz_augustin(
@@ -413,7 +381,8 @@ def solve_petz_augustin(
     :class:`IterateState`, such as ``raw_iterates[k]`` of an earlier run, which
     the run continues from without an eigendecomposition (see
     :func:`initial_state`); under the same weights it repeats the rest of
-    that run bit for bit, mixing memory included.
+    that run bit for bit, except that at orders above 1/2 its Anderson memory
+    starts empty, so its first MIX_START rows are plain sweeps.
 
     *The sweep as a map on n numbers.*  A sweep from the pairings pi of an
     iterate sets c = w / pi, S = sum_j c_j A_j^alpha, Q = S^(1/alpha), and
@@ -443,22 +412,22 @@ def solve_petz_augustin(
     that residual is at least kappa / 2 times the previous row's r, and r
     contracts by kappa.  It assumes exact eigendecompositions.
 
-    *Safeguarded mixing.*  Once its memory holds MIX_START differences, each
-    row applies type-II Anderson mixing (Walker & Ni 2011) with memory
-    MIX_DEPTH to the carried log-pairings: with the last differences dU, dV
-    of u and v between consecutive rows, gamma minimizes the 2-norm of the
-    centered v - dV gamma (osc ignores constants) and the mixed input is
-    log(pi) - (dU + dV) gamma.  The mixed point is swept by the unchanged
-    :func:`petz_augustin_step` and kept only if its r is at most kappa times
-    the previous row's, F does not rise by more than its own rounding,
-    F_ROUNDING * max(1, |F|), the trace stays <= 1 for alpha > 1, and every
-    value is finite (a non-finite one ends the run ``NonFinite``), after
-    Zhang, O'Donoghue & Boyd (2020).  Otherwise, and when a floor refuses
-    the mixed point (a collapsed pairing or a singular combination, which
-    noise differences at the rounding floor can produce), the row is the
-    plain sweep and mixing stays off for the rest of the run.  So every row keeps the
-    plain sweep's invariants, and a run makes at most one eigendecomposition
-    more than it has rows.
+    *Safeguarded mixing.*  The run keeps a memory, empty at every start, of
+    the last MIX_DEPTH differences dU, dV of u and v between consecutive
+    rows.  Once it holds MIX_START of them, each row applies type-II
+    Anderson mixing (Walker & Ni 2011) to the carried log-pairings: gamma
+    minimizes the 2-norm of the centered v - dV gamma (osc ignores
+    constants) and the mixed input is log(pi) - (dU + dV) gamma.  The mixed
+    point is swept by the unchanged :func:`petz_augustin_step` and kept only
+    if its r is at most kappa times the previous row's, F does not rise by
+    more than its own rounding, F_ROUNDING * max(1, |F|), the trace stays
+    <= 1 for alpha > 1, and every value is finite (a non-finite one ends the
+    run ``NonFinite``), after Zhang, O'Donoghue & Boyd (2020).  Otherwise,
+    and when a floor refuses the mixed point (a collapsed pairing or a
+    singular combination, which noise differences at the rounding floor can
+    produce), the row is the plain sweep and the memory is dropped for the
+    rest of the run.  So every row keeps the plain sweep's invariants, and a
+    run makes at most one eigendecomposition more than it has rows.
 
     *Residual column.*  ``residual_thompson`` bounds the Thompson distance
     between consecutive rows' N.  It is exact for the vector form, for orders
@@ -497,12 +466,9 @@ def solve_petz_augustin(
     kappa = contraction_factor(alpha)
 
     state = initial_state(problem, q1)
-    v = None
+    v = memory = None
     if guaranteed:
-        memory = state.mixing
-        if memory is None or not np.array_equal(memory.weights, problem.weights):
-            # no memory, or one of another map: start afresh
-            state = replace(state, mixing=MixingMemory((), (), problem.weights))
+        memory = deque(maxlen=MIX_DEPTH), deque(maxlen=MIX_DEPTH)
         if state.coefficients is not None:
             v = _sweep_residual(problem, state)
     rows = IterationTrace()
@@ -513,14 +479,12 @@ def solve_petz_augustin(
     rows.append(TraceRow(0, state.f_value, state.trace, None, distance, 0.0))
     reason = STOP_MAX_ITER
     detail = ""
-    rejected = 0
     for _ in range(max_iter):
         carried = state if guaranteed else _renormalized(state, alpha)
         began = perf_counter()
         try:
             if guaranteed:
-                new, new_v, refused = _guarded_sweep(problem, carried, v, kappa)
-                rejected += refused
+                new, new_v, memory = _guarded_sweep(problem, carried, v, memory, kappa)
                 r = _oscillation(new_v)
             else:
                 new = petz_augustin_step(problem, carried)
@@ -574,6 +538,9 @@ def solve_petz_augustin(
         if keep_iterates:
             raw.append(state)
         if guaranteed:
+            if memory is not None and v is not None:
+                memory[0].append(np.log(carried.coefficients / state.coefficients))
+                memory[1].append(new_v - v)
             v = new_v
             done = r <= 2.0 * residual_tol
         else:
@@ -590,7 +557,7 @@ def solve_petz_augustin(
         guaranteed=guaranteed,
         raw_iterates=raw,
         distance_bound=None if v is None else kappa / (1.0 - kappa) * _oscillation(v),
-        rejected_mixes=rejected,
+        rejected_mixes=int(guaranteed and memory is None),
         detail=detail,
     )
 

@@ -245,10 +245,12 @@ def pairing_traces(state_powers: np.ndarray, alpha: float, q: np.ndarray) -> np.
 
     Eigenvalues of Q below the relative floor count as exact zeros: for
     alpha > 1 any overlap of A_j^alpha with the kernel of Q makes the pairing
-    infinite, while for alpha < 1 the kernel simply does not contribute.
+    infinite, while for alpha < 1 the kernel simply does not contribute.  A
+    ``q`` that is not PSD raises :class:`InvalidInput`, as a state does.
     """
     spectrum = hermitian_eig(q)
     lam = spectrum.eigenvalues
+    _check_psd(lam[None, ::-1])  # one row, increasing
     v = spectrum.eigenvectors
     floor = EIG_FLOOR * max(float(lam.max()), 0.0)
     zero = lam <= floor

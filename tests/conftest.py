@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from augustin_lab import augustin
 from augustin_lab.linalg import hermitize
 
 
@@ -15,6 +16,11 @@ def random_spd(rng, d, *, complex_entries=True):
 
 def random_simplex(rng, d):
     return rng.dirichlet(np.ones(d))
+
+
+def plain(monkeypatch):
+    # a memory that never fills: every row is the paper's sweep
+    monkeypatch.setattr(augustin, "MIX_START", augustin.MIX_DEPTH + 1)
 
 
 @pytest.fixture

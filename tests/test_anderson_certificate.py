@@ -29,6 +29,11 @@ from augustin_lab.capacity import CapacityProblem, approx_oracle_detailed
 from augustin_lab.divergences import AugustinProblem, ClassicalAugustinProblem
 from augustin_lab.errors import DegenerateTrace, SingularMatrix
 from augustin_lab.linalg import matrix_power, random_density_ensemble, thompson_metric_psd
+from conftest import plain
+
+# From I/d the memory holds its MIX_START-th difference after the row swept
+# from step MIX_START, so the first mixed point is swept from this step.
+FIRST_MIX = augustin.MIX_START + 1
 
 
 def counting_steps(monkeypatch):
@@ -42,9 +47,10 @@ def counting_steps(monkeypatch):
     return calls
 
 
-def plain(monkeypatch):
-    # a memory that never fills: every row is the paper's sweep
-    monkeypatch.setattr(augustin, "MIX_START", augustin.MIX_DEPTH + 1)
+def assert_plain_from(problem, raw, start):
+    """Every row after raw[start] is the plain sweep of the row before it."""
+    for old, new in zip(raw[start:], raw[start + 1 :]):
+        assert np.array_equal(petz_augustin_step(problem, old).matrix, new.matrix)
 
 
 def density(rng, d, rank, real=False):
@@ -175,44 +181,48 @@ def test_mixing_cuts_sweeps_and_keeps_the_certificate(alpha, monkeypatch):
     assert distance <= mixed.distance_bound + reference.distance_bound + 1e-12
 
 
+def rejected_step(calls):
+    """The step a rejected mixed point was swept from: the one step that the
+    mixed point and then the plain sweep were both swept from."""
+    (step,) = [s for s in set(calls) if calls.count(s) == 2]
+    return step
+
+
 def test_a_run_to_the_rounding_floor_pays_one_rejected_mix(monkeypatch):
     calls = counting_steps(monkeypatch)
     problem = AugustinProblem.create(random_density_ensemble(65, 6, 8), np.full(6, 1 / 6), 1.5)
-    report = solve_petz_augustin(problem, max_iter=60, residual_tol=0.0)
+    report = solve_petz_augustin(problem, max_iter=60, residual_tol=0.0, keep_iterates=True)
     assert report.stop_reason == STOP_MAX_ITER and len(report.iterates) == 61
     assert report.rejected_mixes == 1
     assert len(calls) == 61
-    assert not report.state.mixing.active and report.state.mixing.inputs == ()
+    assert_plain_from(problem, report.raw_iterates, rejected_step(calls))
 
 
-def test_after_a_rejection_every_row_is_the_plain_sweep():
+def test_after_a_rejection_every_row_is_the_plain_sweep(monkeypatch):
+    calls = counting_steps(monkeypatch)
     problem = AugustinProblem.create(random_density_ensemble(65, 6, 8), np.full(6, 1 / 6), 1.5)
     report = solve_petz_augustin(problem, max_iter=40, residual_tol=0.0, keep_iterates=True)
-    off = next(k for k, s in enumerate(report.raw_iterates) if not s.mixing.active)
+    off = rejected_step(calls)
     assert off > augustin.MIX_START
-    for old, new in zip(report.raw_iterates[off:], report.raw_iterates[off + 1 :]):
-        swept = petz_augustin_step(problem, old)
-        assert np.array_equal(swept.matrix, new.matrix)
+    assert_plain_from(problem, report.raw_iterates, off)
 
 
-def test_mixing_memory_of_other_weights_is_dropped():
-    states = random_density_ensemble(66, 4, 5)
-    first = AugustinProblem.create(states, np.full(4, 0.25), 3.0)
-    last = solve_petz_augustin(first, max_iter=8, residual_tol=0.0).state
-    assert len(last.mixing.inputs) == augustin.MIX_DEPTH
-    same = solve_petz_augustin(first, last, max_iter=1, residual_tol=0.0)
-    assert len(same.state.mixing.inputs) == augustin.MIX_DEPTH
-    other = AugustinProblem.create(states, [0.1, 0.2, 0.3, 0.4], 3.0)
-    fresh = solve_petz_augustin(other, last, max_iter=1, residual_tol=0.0)
-    assert len(fresh.state.mixing.inputs) == 1
-    assert np.array_equal(fresh.state.mixing.weights, other.weights)
+def test_a_warm_start_begins_with_plain_sweeps():
+    # the memory is the run's own: a run resumed from a kept iterate under
+    # the same weights mixes only once it has MIX_START differences again
+    problem = AugustinProblem.create(random_density_ensemble(66, 4, 5), np.full(4, 0.25), 3.0)
+    first = solve_petz_augustin(problem, max_iter=8, residual_tol=0.0)
+    assert first.state.coefficients is not None
+    warm = solve_petz_augustin(
+        problem, first.state, max_iter=8, residual_tol=0.0, keep_iterates=True
+    )
+    assert_plain_from(problem, warm.raw_iterates[: augustin.MIX_START + 1], 0)
 
 
 def test_non_finite_mixed_point_ends_the_run(monkeypatch):
     def blow_up_mixed(problem, state):
-        # the first state whose memory is full enough is the first mixed point
         new = petz_augustin_step(problem, state)
-        if len(state.mixing.inputs) >= augustin.MIX_START:
+        if state.step == FIRST_MIX:
             return replace(new, f_value=math.nan)
         return new
 
@@ -231,18 +241,17 @@ def test_a_floor_refusing_the_mixed_point_is_a_rejection(refusal, monkeypatch):
     refused = []
 
     def refuse_mixed(problem, state):
-        # the first state with a full enough memory is the first mixed point
-        if len(state.mixing.inputs) >= augustin.MIX_START and not refused:
+        if state.step == FIRST_MIX and not refused:
             refused.append(state.step)
             raise refusal("refused")
         return petz_augustin_step(problem, state)
 
     monkeypatch.setattr(augustin, "petz_augustin_step", refuse_mixed)
     problem = AugustinProblem.create(random_density_ensemble(68, 4, 5), np.full(4, 0.25), 3.0)
-    report = solve_petz_augustin(problem, residual_tol=0.0, max_iter=20)
+    report = solve_petz_augustin(problem, residual_tol=0.0, max_iter=20, keep_iterates=True)
     assert report.stop_reason == STOP_MAX_ITER and len(report.iterates) == 21
-    assert report.rejected_mixes == 1 and not report.state.mixing.active
-    assert refused == [augustin.MIX_START + 1]
+    assert report.rejected_mixes == 1 and refused == [FIRST_MIX]
+    assert_plain_from(problem, report.raw_iterates, FIRST_MIX)
 
 
 @pytest.mark.parametrize("field", ["f_value", "trace"])
@@ -250,10 +259,10 @@ def test_a_mixed_point_that_raises_f_or_the_trace_is_rejected(field, monkeypatch
     bumped = []
 
     def raise_mixed(problem, state):
-        # the first state with a full enough memory is the first mixed point;
-        # lift its F just above the previous row's, or its trace just above 1
+        # lift the first mixed point's F just above the previous row's, or
+        # its trace just above 1
         new = petz_augustin_step(problem, state)
-        if len(state.mixing.inputs) >= augustin.MIX_START and not bumped:
+        if state.step == FIRST_MIX and not bumped:
             bumped.append(state.step)
             value = state.f_value + 1e-9 if field == "f_value" else 1.0 + 1e-12
             return replace(new, **{field: value})

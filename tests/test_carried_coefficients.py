@@ -1,13 +1,13 @@
 """Iterates carry the coefficients c_j of the combination they were swept
 from, so the solver's O(n) residual bound holds from any carried start (a
 warm start or a resume under other weights included), the report keeps the
-last raw iterate, and a resume checks that the iterate fits the problem."""
+last raw iterate, and a start or a resume checks that it fits the problem."""
 
 import numpy as np
 import pytest
 
 from augustin_lab import capacity
-from augustin_lab.augustin import _renormalized, initial_state, solve_petz_augustin
+from augustin_lab.augustin import _renormalized, apply_T_F, initial_state, solve_petz_augustin
 from augustin_lab.capacity import CapacityProblem, approx_oracle_detailed
 from augustin_lab.divergences import AugustinProblem, ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput
@@ -114,3 +114,27 @@ def test_resume_into_another_number_of_states_raises():
     last = solve_petz_augustin(three, max_iter=3, keep_iterates=True).raw_iterates[-1]
     with pytest.raises(InvalidInput, match="3 states"):
         solve_petz_augustin(four, last)
+
+
+def four(form):
+    if form == "matrix":
+        return AugustinProblem.create(random_density_ensemble(4207, 3, 4), np.full(3, 1 / 3), 1.5)
+    return ClassicalAugustinProblem.create(np.full((3, 4), 0.25), np.full(3, 1 / 3), 1.5)
+
+
+@pytest.mark.parametrize(
+    "call, form, wrong",
+    [
+        (solve_petz_augustin, "matrix", np.eye(3) / 3),
+        (solve_petz_augustin, "matrix", np.full(4, 0.25)),
+        (solve_petz_augustin, "vector", np.full(5, 0.2)),
+        (solve_petz_augustin, "vector", np.eye(4) / 4),
+        (apply_T_F, "matrix", np.eye(3) / 3),
+        (apply_T_F, "vector", np.full(5, 0.2)),
+        (apply_T_F, "vector", np.eye(4) / 4),
+    ],
+    ids=["start-3x3", "start-vector", "start-5", "start-4x4", "T-3x3", "T-5", "T-4x4"],
+)
+def test_an_argument_of_the_wrong_shape_raises(call, form, wrong):
+    with pytest.raises(InvalidInput, match="shape"):
+        call(four(form), wrong)

@@ -61,6 +61,15 @@ class TestPetzRenyiDivergence:
         with pytest.raises(InvalidInput, match="not PSD"):
             petz_renyi_divergence(np.diag([1.2, -0.2]), np.eye(2) / 2, alpha)
 
+    def test_non_psd_second_argument_raises(self):
+        # below order 1 the negative eigenvalue would count as a zero one
+        q = np.diag([1.2, -0.2])
+        with pytest.raises(InvalidInput, match="not PSD"):
+            petz_renyi_divergence(np.eye(2) / 2, q, 0.5)
+        p = AugustinProblem.create([np.eye(2) / 2, np.diag([0.3, 0.7])], [0.5, 0.5], 0.5)
+        with pytest.raises(InvalidInput, match="not PSD"):
+            objective_F(p, q)
+
     def test_invalid_orders(self):
         a = random_density_matrix(0, 2)
         for alpha in (0.0, 1.0, -2.0):

@@ -1,6 +1,6 @@
-"""One sweep loop: the sweep does not re-validate its own products, a run
-resumes from a kept iterate bit for bit, and the capacity oracle, which runs
-that loop, turns a non-finite stop into a typed error."""
+"""One sweep loop: the sweep does not re-validate its own products, a run of
+plain sweeps resumes from a kept iterate bit for bit, and the capacity
+oracle, which runs that loop, turns a non-finite stop into a typed error."""
 
 import math
 import sys
@@ -15,7 +15,7 @@ from augustin_lab.capacity import CapacityProblem, approx_oracle_detailed
 from augustin_lab.divergences import AugustinProblem, ClassicalAugustinProblem
 from augustin_lab.errors import NonFinite
 from augustin_lab.linalg import random_density_ensemble
-from conftest import random_simplex
+from conftest import plain, random_simplex
 
 
 def matrix_problem(alpha):
@@ -59,7 +59,9 @@ RESUME_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(RESUME_CASES))
-def test_resume_from_kept_iterate_is_bit_identical(case):
+def test_resume_from_kept_iterate_is_bit_identical(case, monkeypatch):
+    # a resumed run starts an empty Anderson memory, so compare plain sweeps
+    plain(monkeypatch)
     p = RESUME_CASES[case]()
     k = 4
     full = solve_petz_augustin(p, max_iter=40, keep_iterates=True)
