@@ -9,17 +9,12 @@ dynamic for CES Fisher markets with the same contraction structure.
 
 from .augustin import (
     apply_T_F,
-    augustin_classical_baseline_step,
-    cheng_dual_step,
     contraction_factor,
-    dual_objective_H,
     emd_polyak_run,
     emd_polyak_step,
     initial_state,
-    make_dual_state,
     petz_augustin_step,
     solve_petz_augustin,
-    DualState,
     IterateState,
     SolveReport,
 )
@@ -43,10 +38,8 @@ from .fisher import (
     PriceState,
     UpdateSchedule,
     buyer_demand,
-    cheung_baseline_step,
     epoch_boundaries,
     equilibrium_prices,
-    metric_comparability_check,
     potential,
     run_schedule,
     tatonnement_step,
@@ -57,7 +50,6 @@ from .linalg import (
     hermitize,
     matrix_power,
     random_density_ensemble,
-    random_density_matrix,
     thompson_metric_psd,
     thompson_metric_vec,
 )

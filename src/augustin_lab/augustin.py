@@ -14,10 +14,9 @@ O(d^3) decomposition, and it accelerates the sweep by safeguarded Anderson
 mixing of the n log-pairings, which costs O(n m) per row.
 
 The commuting (vector) specialization runs through the same sweep as its
-diagonal case.  The module also provides the dual-space iteration the sweep
-coincides with, the multiplicative-update baseline, and, on probability
-vectors, entropic mirror descent with an adaptive step size as a reference
-method for orders without a contraction guarantee.
+diagonal case.  On probability vectors the module also provides entropic
+mirror descent with an adaptive step size, the reference method of the
+divergence demo for orders without a contraction guarantee.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ from .divergences import (
     AugustinProblem,
     ClassicalAugustinProblem,
     classical_pairings,
-    divergence_from_pairing,
     objective_f,
-    pairing_traces,
     weighted_divergence,
 )
 from .errors import DegenerateTrace, InvalidInput, SingularMatrix, Unsupported
@@ -563,50 +560,7 @@ def solve_petz_augustin(
 
 
 # ---------------------------------------------------------------------------
-# dual-space iteration (equivalence baseline)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Dual iterate v together with its primal image mu(v)."""
-
-    v: np.ndarray
-    mu: np.ndarray
-
-
-def make_dual_state(problem: AugustinProblem, v: np.ndarray) -> DualState:
-    """Assemble mu(v) = (sum_j w_j exp((1-alpha) v_j) A_j^alpha)^(1/alpha)."""
-    alpha = problem.order
-    v = np.asarray(v, dtype=float)
-    if v.shape != (problem.n,):
-        raise InvalidInput(f"expected {problem.n} dual coordinates, got {v.shape}")
-    coeff = problem.weights * np.exp((1.0 - alpha) * v)
-    return DualState(v=v, mu=matrix_power(_combination(problem, coeff), 1.0 / alpha))
-
-
-def cheng_dual_step(problem: AugustinProblem, state: DualState) -> DualState:
-    """Dual update v_j <- divergence of A_j from mu(v)."""
-    alpha = problem.order
-    pair = pairing_traces(problem.state_powers, alpha, state.mu)
-    v_new = divergence_from_pairing(pair, alpha)
-    if not np.all(np.isfinite(v_new)):
-        raise DegenerateTrace("dual update produced non-finite divergences")
-    return make_dual_state(problem, v_new)
-
-
-def dual_objective_H(problem: AugustinProblem, v: np.ndarray) -> float:
-    """Concave dual objective whose maximizer reproduces the minimizer."""
-    alpha = problem.order
-    state = make_dual_state(problem, v)
-    mu_trace = float(np.trace(state.mu).real)
-    return float(
-        (1.0 - alpha) / alpha * np.dot(problem.weights, state.v) - math.log(mu_trace)
-    )
-
-
-# ---------------------------------------------------------------------------
-# classical baselines
+# entropic mirror descent on probability vectors
 # ---------------------------------------------------------------------------
 
 
@@ -618,20 +572,6 @@ def classical_gradient(problem: ClassicalAugustinProblem, q: np.ndarray) -> np.n
     pair = classical_pairings(problem, q)
     neg = ((problem.weights / pair) @ problem.point_powers) * q ** (-problem.order)
     return -neg
-
-
-def augustin_classical_baseline_step(
-    problem: ClassicalAugustinProblem, q: np.ndarray
-) -> np.ndarray:
-    """Multiplicative baseline update q <- q * (-grad f(q)).
-
-    Preserves normalization exactly: the weighted pairing structure makes the
-    coordinates of the update sum to one.
-    """
-    q = np.asarray(q, dtype=float)
-    if not np.all(q > 0):
-        raise InvalidInput("baseline update requires a strictly positive point")
-    return q * (-classical_gradient(problem, q))
 
 
 def emd_polyak_step(problem: ClassicalAugustinProblem, q, f_best: float):

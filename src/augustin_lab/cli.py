@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -104,7 +105,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if "iters" in reads and cfg.iters < 1:
         bad.append("iteration budget must be >= 1")
     if cfg.task in ("augustin", "classical"):
-        if not (cfg.alpha > 0 and cfg.alpha != 1):
+        if not (math.isfinite(cfg.alpha) and cfg.alpha > 0 and cfg.alpha != 1):
             bad.append(f"order {cfg.alpha} outside (0,1)u(1,inf)")
     if cfg.task == "capacity":
         if not (0.5 < cfg.alpha < 1.0):

@@ -234,11 +234,6 @@ class ClassicalAugustinProblem:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def diagonal_embedding(self) -> AugustinProblem:
-        """The same problem with every point embedded as a diagonal matrix."""
-        states = [np.diag(p.astype(complex)) for p in self.points]
-        return AugustinProblem.create(states, self.weights, self.order)
-
 
 def pairing_traces(state_powers: np.ndarray, alpha: float, q: np.ndarray) -> np.ndarray:
     """Vector of Tr[A_j^alpha Q^(1-alpha)] with explicit kernel handling.

@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, NonFinite, NotConverged
-from .linalg import thompson_metric_vec
 
 
 @dataclass(frozen=True)
@@ -276,27 +275,3 @@ def equilibrium_prices(
                 f"equilibrium not reached within {max_rounds} rounds (residual {residual:.3e})"
             )
         state = _reprice(market, state, everyone, x)
-
-
-def cheung_baseline_step(market: FisherMarket, p) -> np.ndarray:
-    """Proportional-response style update p <- p * x(p) for common-elasticity markets."""
-    rho = market.elasticities
-    if np.abs(rho - rho[0]).max() > 0:
-        raise InvalidInput("baseline update requires a common elasticity across buyers")
-    p = _check_prices(p)
-    return p * total_demand(market, p)
-
-
-def metric_comparability_check(u, v) -> tuple[float, float, bool]:
-    """Thompson distance vs the relative sup deviation max_i |1 - u_i/v_i|.
-
-    Whenever the distance is below log 3, each quantity bounds the other
-    within a factor of three; ``holds`` reports that two-sided bound.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d_t = thompson_metric_vec(u, v)
-    ratio = float(np.abs(1.0 - u / v).max())
-    slack = 1e-15 * (1.0 + ratio + d_t)
-    holds = (ratio / 3.0 <= d_t + slack) and (d_t <= 3.0 * ratio + slack)
-    return d_t, ratio, holds

@@ -113,19 +113,6 @@ def thompson_metric_vec(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.abs(np.log(u / v)).max())
 
 
-def random_density_matrix(seed: int, d: int) -> np.ndarray:
-    """Random full-rank density matrix from the Ginibre ensemble.
-
-    Draws G with i.i.d. standard complex Gaussian entries using numpy's
-    seeded PCG64 generator and returns G G* / Tr[G G*].  Deterministic for a
-    fixed seed.
-    """
-    if d < 1:
-        raise InvalidInput("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    return _ginibre_density(rng, d)
-
-
 def random_density_ensemble(seed: int, n: int, d: int) -> list[np.ndarray]:
     """n independent Ginibre density matrices from a single seeded stream."""
     if n < 1 or d < 1:

@@ -16,12 +16,9 @@ import pytest
 
 from augustin_lab.augustin import (
     apply_T_F,
-    augustin_classical_baseline_step,
-    cheng_dual_step,
     contraction_factor,
     emd_polyak_run,
     initial_state,
-    make_dual_state,
     petz_augustin_step,
     solve_petz_augustin,
 )
@@ -36,9 +33,7 @@ from augustin_lab.divergences import (
 from augustin_lab.fisher import (
     FisherMarket,
     UpdateSchedule,
-    cheung_baseline_step,
     equilibrium_prices,
-    metric_comparability_check,
     run_schedule,
     total_demand,
 )
@@ -49,10 +44,16 @@ from augustin_lab.linalg import (
     thompson_metric_psd,
     thompson_metric_vec,
 )
-from augustin_lab.oracles import (
+from augustin_lab.oracles import grid_min_classical_augustin
+from reference import (
+    augustin_classical_baseline_step,
+    cheng_dual_step,
+    cheung_baseline_step,
+    diagonal_embedding,
     finite_diff_curvature,
     grid_min_capacity_2,
-    grid_min_classical_augustin,
+    make_dual_state,
+    metric_comparability_check,
 )
 
 # denominators below this are dominated by eigensolver noise, where a ratio
@@ -178,7 +179,7 @@ def test_c05_commuting_equivalence():
     for alpha in (0.8, 1.5):
         pts = rng.dirichlet(np.ones(16), size=8)
         classical = ClassicalAugustinProblem.create(pts, np.full(8, 1 / 8), alpha)
-        quantum = classical.diagonal_embedding()
+        quantum = diagonal_embedding(classical)
         c_state = initial_state(classical, np.full(16, 1 / 16))
         q_state = initial_state(quantum, np.eye(16, dtype=complex) / 16)
         for _ in range(50):

@@ -29,6 +29,7 @@ from augustin_lab.capacity import CapacityProblem, approx_oracle_detailed
 from augustin_lab.divergences import AugustinProblem, ClassicalAugustinProblem
 from augustin_lab.errors import DegenerateTrace, SingularMatrix
 from augustin_lab.linalg import matrix_power, random_density_ensemble, thompson_metric_psd
+from reference import diagonal_embedding
 from conftest import plain
 
 # From I/d the memory holds its MIX_START-th difference after the row swept
@@ -372,7 +373,7 @@ def test_matrix_and_vector_forms_agree_on_diagonal_data(n, d, alpha, seed, tiny)
         weights[0] = 1e-9
         weights /= weights.sum()
     vector = ClassicalAugustinProblem.create(points, weights, alpha)
-    matrix = vector.diagonal_embedding()
+    matrix = diagonal_embedding(vector)
     runs = []
     for problem in (vector, matrix):
         # to the rounding floor: a certificate of exactly 0 stops earlier

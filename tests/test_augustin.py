@@ -11,15 +11,11 @@ from augustin_lab.augustin import (
     STOP_NON_FINITE,
     STOP_RESIDUAL,
     apply_T_F,
-    augustin_classical_baseline_step,
-    cheng_dual_step,
     classical_gradient,
     contraction_factor,
-    dual_objective_H,
     emd_polyak_run,
     emd_polyak_step,
     initial_state,
-    make_dual_state,
     petz_augustin_step,
     solve_petz_augustin,
 )
@@ -34,11 +30,17 @@ from augustin_lab.linalg import (
     hermitize,
     matrix_power,
     random_density_ensemble,
-    random_density_matrix,
     thompson_metric_psd,
     thompson_metric_vec,
 )
 from augustin_lab.oracles import grid_min_classical_augustin
+from reference import (
+    augustin_classical_baseline_step,
+    cheng_dual_step,
+    diagonal_embedding,
+    dual_objective_H,
+    make_dual_state,
+)
 from conftest import random_simplex, random_spd
 
 
@@ -67,7 +69,7 @@ class TestOperator:
     def test_diagonal_reduction(self, rng):
         alpha = 1.5
         cp = make_classical(rng, 3, 4, alpha)
-        qp = cp.diagonal_embedding()
+        qp = diagonal_embedding(cp)
         u = rng.uniform(0.2, 2.0, size=4)
         vec = apply_T_F(cp, u)
         mat = apply_T_F(qp, np.diag(u.astype(complex)))
@@ -160,14 +162,14 @@ class TestCombination:
 class TestStep:
     @pytest.mark.parametrize("alpha", [0.8, 2.0])
     def test_single_state_one_step(self, alpha):
-        a = random_density_matrix(2, 5)
+        a = random_density_ensemble(2, 1, 5)[0]
         p = AugustinProblem.create([a], [1.0], alpha)
         state = initial_state(p, np.eye(5, dtype=complex) / 5)
         new = petz_augustin_step(p, state)
         assert np.abs(new.normalized - a).max() <= 1e-10
 
     def test_all_equal_states(self):
-        a = random_density_matrix(3, 4)
+        a = random_density_ensemble(3, 1, 4)[0]
         p = AugustinProblem.create([a, a, a], np.ones(3) / 3, 1.5)
         new = petz_augustin_step(p, initial_state(p, np.eye(4, dtype=complex) / 4))
         assert np.abs(new.normalized - a).max() <= 1e-10
@@ -223,7 +225,7 @@ class TestStep:
 
 class TestSolver:
     def test_single_state_converges_immediately(self):
-        a = random_density_matrix(4, 3)
+        a = random_density_ensemble(4, 1, 3)[0]
         p = AugustinProblem.create([a], [1.0], 1.5)
         report = solve_petz_augustin(p)
         assert report.converged and report.stop_reason == STOP_RESIDUAL
@@ -411,7 +413,7 @@ class TestClassicalSolver:
         # the normalized rows and F do not.
         for seed in [*range(60), 20240811]:
             cp = make_classical(np.random.default_rng(seed), 4, 5, alpha)
-            qp = cp.diagonal_embedding()
+            qp = diagonal_embedding(cp)
             crep = solve_petz_augustin(cp, max_iter=30, residual_tol=0.0, keep_iterates=True)
             qrep = solve_petz_augustin(qp, max_iter=30, residual_tol=0.0, keep_iterates=True)
             for cs, qs in zip(crep.raw_iterates, qrep.raw_iterates):
@@ -460,7 +462,7 @@ class TestClassicalSolver:
 
 class TestDualIteration:
     def test_single_state_stabilizes(self):
-        a = random_density_matrix(8, 3)
+        a = random_density_ensemble(8, 1, 3)[0]
         p = AugustinProblem.create([a], [1.0], 2.0)
         state = make_dual_state(p, np.zeros(1))
         for _ in range(5):
@@ -501,7 +503,7 @@ class TestDualIteration:
         expected = -math.log(np.trace(matrix_power(s, 1 / 2.0)).real)
         assert dual_objective_H(p, np.zeros(3)) == pytest.approx(expected, abs=1e-12)
         # single state: H(0) = -log Tr[A] = 0
-        a = random_density_matrix(9, 3)
+        a = random_density_ensemble(9, 1, 3)[0]
         single = AugustinProblem.create([a], [1.0], 2.0)
         assert dual_objective_H(single, np.zeros(1)) == pytest.approx(0.0, abs=1e-10)
 
@@ -576,7 +578,7 @@ class TestPolyakMirror:
 
     def test_commuting_quantum_problem_rejected(self, rng):
         # the reference takes probability vectors, even for diagonal states
-        qp = make_classical(rng, 3, 3, 0.4).diagonal_embedding()
+        qp = diagonal_embedding(make_classical(rng, 3, 3, 0.4))
         with pytest.raises(Unsupported):
             emd_polyak_step(qp, np.eye(3, dtype=complex) / 3, f_best=0.0)
         with pytest.raises(Unsupported):
@@ -631,7 +633,7 @@ class TestLemmas:
         report = solve_petz_augustin(p, max_iter=300, residual_tol=1e-14)
         f_star = objective_F(p, report.final)
         for seed in range(100):
-            q = random_density_matrix(seed + 3000, 4)
+            q = random_density_ensemble(seed + 3000, 1, 4)[0]
             assert f_star <= objective_F(p, q) + 1e-6
 
     def test_fixed_point_residual_of_long_run(self):

@@ -18,15 +18,10 @@ from augustin_lab.divergences import ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput, InvalidOrder, NonFinite, NotConverged
 from augustin_lab.linalg import (
     random_density_ensemble,
-    random_density_matrix,
     thompson_metric_psd,
 )
-from augustin_lab.oracles import (
-    finite_diff_curvature,
-    finite_diff_gradient,
-    grid_min_classical_augustin,
-    grid_min_capacity_2,
-)
+from augustin_lab.oracles import grid_min_classical_augustin
+from reference import finite_diff_curvature, finite_diff_gradient, grid_min_capacity_2
 
 
 def symmetric_pair(alpha=0.75):
@@ -62,13 +57,13 @@ class TestProblem:
 
 class TestOracle:
     def test_single_state_is_zero(self):
-        p = CapacityProblem.create([random_density_matrix(1, 3)], 0.8)
+        p = CapacityProblem.create([random_density_ensemble(1, 1, 3)[0]], 0.8)
         g, grad = approx_oracle(p, np.array([1.0]), 1e-10)
         assert abs(g) <= 1e-9
         assert abs(grad[0]) <= 1e-9
 
     def test_identical_states_zero_gradient(self):
-        a = random_density_matrix(2, 2)
+        a = random_density_ensemble(2, 1, 2)[0]
         p = CapacityProblem.create([a, a, a], 0.75)
         g, grad = approx_oracle(p, np.ones(3) / 3, 1e-10)
         assert np.abs(grad).max() <= 1e-9
@@ -204,7 +199,7 @@ class TestMirrorUpdate:
 
 class TestSolve:
     def test_single_state_capacity_zero(self):
-        p = CapacityProblem.create([random_density_matrix(3, 2)], 0.8)
+        p = CapacityProblem.create([random_density_ensemble(3, 1, 2)[0]], 0.8)
         report = solve_capacity(p, 5)
         assert abs(report.c_hat) <= 1e-8
 

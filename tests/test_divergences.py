@@ -21,9 +21,9 @@ from augustin_lab.errors import DegenerateTraceWarning, InvalidInput, InvalidOrd
 from augustin_lab.linalg import (
     EIG_FLOOR,
     random_density_ensemble,
-    random_density_matrix,
     thompson_metric_psd,
 )
+from reference import diagonal_embedding
 from conftest import random_simplex
 
 
@@ -34,7 +34,7 @@ def scalar_divergence(a, q, alpha):
 
 class TestPetzRenyiDivergence:
     def test_zero_on_equal_full_rank(self):
-        a = random_density_matrix(3, 4)
+        a = random_density_ensemble(3, 1, 4)[0]
         for alpha in (0.6, 0.8, 1.5, 3.0):
             assert petz_renyi_divergence(a, a, alpha) == pytest.approx(0.0, abs=1e-10)
 
@@ -71,7 +71,7 @@ class TestPetzRenyiDivergence:
             objective_F(p, q)
 
     def test_invalid_orders(self):
-        a = random_density_matrix(0, 2)
+        a = random_density_ensemble(0, 1, 2)[0]
         for alpha in (0.0, 1.0, -2.0):
             with pytest.raises(InvalidOrder):
                 petz_renyi_divergence(a, a, alpha)
@@ -79,16 +79,16 @@ class TestPetzRenyiDivergence:
     @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.5, 3.0])
     def test_nonnegative_on_states(self, alpha):
         for seed in range(25):
-            a = random_density_matrix(seed, 4)
-            q = random_density_matrix(seed + 1000, 4)
+            a = random_density_ensemble(seed, 1, 4)[0]
+            q = random_density_ensemble(seed + 1000, 1, 4)[0]
             assert petz_renyi_divergence(a, q, alpha) >= -1e-10
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
     def test_positive_when_far_apart(self, alpha):
         found = 0
         for seed in range(40):
-            a = random_density_matrix(seed, 3)
-            q = random_density_matrix(seed + 500, 3)
+            a = random_density_ensemble(seed, 1, 3)[0]
+            q = random_density_ensemble(seed + 500, 1, 3)[0]
             if thompson_metric_psd(a, q) > 0.1:
                 found += 1
                 assert petz_renyi_divergence(a, q, alpha) > 1e-4
@@ -138,13 +138,13 @@ class TestProblems:
 
 class TestObjectives:
     def test_single_state_matches_divergence(self):
-        a = random_density_matrix(11, 4)
+        a = random_density_ensemble(11, 1, 4)[0]
         p = AugustinProblem.create([a], [1.0], 1.5)
-        q = random_density_matrix(12, 4)
+        q = random_density_ensemble(12, 1, 4)[0]
         assert objective_F(p, q) == pytest.approx(petz_renyi_divergence(a, q, 1.5), abs=1e-12)
 
     def test_zero_at_common_state(self):
-        a = random_density_matrix(13, 3)
+        a = random_density_ensemble(13, 1, 3)[0]
         p = AugustinProblem.create([a, a, a], np.ones(3) / 3, 2.0)
         assert objective_F(p, a) == pytest.approx(0.0, abs=1e-10)
 
@@ -160,7 +160,7 @@ class TestObjectives:
         pts = np.stack([random_simplex(rng, d) for _ in range(n)])
         w = random_simplex(rng, n)
         cp = ClassicalAugustinProblem.create(pts, w, alpha)
-        qp = cp.diagonal_embedding()
+        qp = diagonal_embedding(cp)
         for _ in range(5):
             q = random_simplex(rng, d)
             fv = objective_f(cp, q)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augustin_lab.augustin import augustin_classical_baseline_step, initial_state, petz_augustin_step
+from augustin_lab.augustin import initial_state, petz_augustin_step
 from augustin_lab.divergences import ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput
 from augustin_lab.fisher import (
@@ -13,17 +13,20 @@ from augustin_lab.fisher import (
     PriceState,
     UpdateSchedule,
     buyer_demand,
-    cheung_baseline_step,
     epoch_boundaries,
     equilibrium_prices,
-    metric_comparability_check,
     potential,
     run_schedule,
     tatonnement_step,
     total_demand,
 )
 from augustin_lab.linalg import thompson_metric_vec
-from augustin_lab.oracles import coordinate_descent_potential
+from reference import (
+    augustin_classical_baseline_step,
+    cheung_baseline_step,
+    coordinate_descent_potential,
+    metric_comparability_check,
+)
 
 
 def random_market(seed, n=4, d=5, rho_low=0.1, rho_high=0.7, rho_hat=0.75):

@@ -11,7 +11,6 @@ from augustin_lab.linalg import (
     hermitize,
     matrix_power,
     random_density_ensemble,
-    random_density_matrix,
     thompson_metric_psd,
     thompson_metric_vec,
 )
@@ -187,15 +186,17 @@ class TestThompsonVec:
 
 class TestRandomDensity:
     def test_dimension_one(self):
-        assert np.allclose(random_density_matrix(5, 1), [[1.0]])
+        assert np.allclose(random_density_ensemble(5, 1, 1)[0], [[1.0]])
 
     def test_deterministic(self):
-        assert np.array_equal(random_density_matrix(42, 6), random_density_matrix(42, 6))
+        assert np.array_equal(
+            random_density_ensemble(42, 1, 6)[0], random_density_ensemble(42, 1, 6)[0]
+        )
 
     def test_statistics(self):
         traces = []
         for seed in range(1000):
-            m = random_density_matrix(seed, 8)
+            m = random_density_ensemble(seed, 1, 8)[0]
             w = np.linalg.eigvalsh(m)
             assert w.min() > 0
             traces.append(np.trace(m).real)
@@ -209,7 +210,7 @@ class TestRandomDensity:
 
     def test_invalid_dimension(self):
         with pytest.raises(InvalidInput):
-            random_density_matrix(0, 0)
+            random_density_ensemble(0, 1, 0)[0]
         for n, d in ((0, 3), (3, 0)):
             with pytest.raises(InvalidInput):
                 random_density_ensemble(0, n, d)

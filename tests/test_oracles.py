@@ -7,13 +7,12 @@ from augustin_lab.capacity import CapacityProblem
 from augustin_lab.divergences import ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput, Unsupported
 from augustin_lab.fisher import FisherMarket
-from augustin_lab.oracles import (
+from augustin_lab.oracles import grid_min_classical_augustin, simplex_grid
+from reference import (
     coordinate_descent_potential,
     finite_diff_curvature,
     finite_diff_gradient,
     grid_min_capacity_2,
-    grid_min_classical_augustin,
-    simplex_grid,
 )
 
 
