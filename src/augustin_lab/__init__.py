@@ -22,7 +22,6 @@ from .capacity import (
     CapacityProblem,
     CapacityState,
     approx_oracle,
-    emd_capacity_step,
     mirror_update,
     solve_capacity,
 )

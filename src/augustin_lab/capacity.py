@@ -72,6 +72,14 @@ class OracleResult(NamedTuple):
     state: IterateState  # unit-trace inner iterate, a warm start for the next call
 
 
+def _checked_eps(eps) -> float:
+    """An oracle accuracy as a float; only 0 < eps < inf bounds anything."""
+    eps = float(eps)
+    if not 0.0 < eps < math.inf:
+        raise InvalidInput(f"oracle accuracy must be positive and finite; got {eps!r}")
+    return eps
+
+
 def approx_oracle(
     problem: CapacityProblem, w: np.ndarray, eps: float = DEFAULT_EPS
 ) -> tuple[float, np.ndarray]:
@@ -118,10 +126,10 @@ def approx_oracle_detailed(
     :class:`NotConverged`; a run that stops on non-finite values raises
     :class:`NonFinite`, as do non-finite divergences, and one whose
     combination is numerically singular raises :class:`SingularMatrix` with
-    the eigenvalue ratio.  Only a non-positive eps raises :class:`InvalidInput`.
+    the eigenvalue ratio.  Only an eps outside (0, inf) raises
+    :class:`InvalidInput`.
     """
-    if not eps > 0:
-        raise InvalidInput("oracle accuracy must be positive")
+    eps = _checked_eps(eps)
     inner = problem.weighted(w)
     alpha = problem.order
     kappa = contraction_factor(alpha)
@@ -151,20 +159,14 @@ def approx_oracle_detailed(
 
 @dataclass(frozen=True)
 class CapacityState:
-    """Outer iterate: weights plus the oracle values evaluated at them.
-
-    ``inner_state`` is the oracle's unit-trace inner iterate, from which the
-    next step's oracle call starts.
-    """
+    """Outer iterate: weights plus the oracle values evaluated at them."""
 
     step: int
     w: np.ndarray
     g_hat: float
     grad_hat: np.ndarray
-    inner_eps: float
-    inner_iters: int = 0
-    wall_time_ms: float = 0.0
-    inner_state: IterateState | None = field(default=None, repr=False)
+    inner_iters: int
+    wall_time_ms: float
 
 
 def mirror_update(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -178,40 +180,6 @@ def mirror_update(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
     shifted = shifted - shifted.min()
     scaled = np.asarray(w, dtype=float) * np.exp(-shifted)
     return scaled / scaled.sum()
-
-
-def _queried_state(
-    problem: CapacityProblem, step: int, w: np.ndarray, eps: float, start=None
-) -> CapacityState:
-    """The outer state at w, with the oracle call's wall time."""
-    began = perf_counter()
-    result = approx_oracle_detailed(problem, w, eps, start=start)
-    return CapacityState(
-        step=step,
-        w=w,
-        g_hat=result.g_hat,
-        grad_hat=result.grad_hat,
-        inner_eps=eps,
-        inner_iters=result.inner_iters,
-        wall_time_ms=(perf_counter() - began) * 1e3,
-        inner_state=result.state,
-    )
-
-
-def initial_capacity_state(
-    problem: CapacityProblem, eps: float = DEFAULT_EPS
-) -> CapacityState:
-    return _queried_state(problem, 1, np.full(problem.n, 1.0 / problem.n), eps)
-
-
-def emd_capacity_step(
-    problem: CapacityProblem, state: CapacityState, eps: float | None = None
-) -> CapacityState:
-    """Advance the outer loop one mirror-descent step and re-query the oracle,
-    warm-started from the previous step's inner state."""
-    eps = state.inner_eps if eps is None else eps
-    w_new = mirror_update(state.w, state.grad_hat)
-    return _queried_state(problem, state.step + 1, w_new, eps, state.inner_state)
 
 
 @dataclass
@@ -242,28 +210,39 @@ def solve_capacity(
 
     ``eps_schedule`` is either a constant oracle accuracy or a per-step
     sequence of length T + 1 (the final entry covers the closing evaluation at
-    w_{T+1}).  The log(n)/T certificate assumes exact gradients; the report
-    carries the inexactness budget 2 * sum(eps) separately.  Only the last
-    state keeps its ``inner_state``, so the history holds no d x d matrices.
+    w_{T+1}); every entry is checked before the first oracle call.  Step t
+    moves w by :func:`mirror_update` on the last gradient (from t = 2 on) and
+    calls :func:`approx_oracle_detailed` at the new w, warm-started from the
+    last call's inner state, which only the loop holds.  The log(n)/T
+    certificate assumes exact gradients; the report carries the inexactness
+    budget 2 * sum(eps) separately.
     """
     if T < 1:
         raise InvalidInput("outer iteration count must be >= 1")
-    if np.isscalar(eps_schedule):
-        eps_list = [float(eps_schedule)] * (T + 1)
+    if np.ndim(eps_schedule) == 0:
+        eps_list = [_checked_eps(eps_schedule)] * (T + 1)
     else:
-        eps_list = [float(e) for e in eps_schedule]
+        eps_list = [_checked_eps(e) for e in eps_schedule]
         if len(eps_list) != T + 1:
             raise InvalidInput(f"eps schedule must have length T+1 = {T + 1}")
-    state = initial_capacity_state(problem, eps_list[0])
-    states = [state]
-    for t in range(1, T + 1):
-        state = emd_capacity_step(problem, state, eps_list[t])
-        states[-1] = replace(states[-1], inner_state=None)
-        states.append(state)
+    w = np.full(problem.n, 1.0 / problem.n)
+    start = None
+    states = []
+    for step, eps in enumerate(eps_list, start=1):
+        if step > 1:
+            w = mirror_update(w, result.grad_hat)
+        began = perf_counter()
+        result = approx_oracle_detailed(problem, w, eps, start=start)
+        wall_time_ms = (perf_counter() - began) * 1e3
+        states.append(
+            CapacityState(step, w, result.g_hat, result.grad_hat, result.inner_iters, wall_time_ms)
+        )
+        start = result.state
+    last = states[-1]
     return CapacityReport(
-        c_hat=-state.g_hat,
-        g_final=state.g_hat,
-        w_final=state.w,
+        c_hat=-last.g_hat,
+        g_final=last.g_hat,
+        w_final=last.w,
         states=states,
         certificate=math.log(problem.n) / T,
         eps_budget=2.0 * float(sum(eps_list)),

@@ -112,8 +112,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             bad.append(f"capacity requires order in (1/2,1); got {cfg.alpha}")
         if cfg.outer_steps < 1:
             bad.append("outer_steps must be >= 1")
-        if not cfg.inner_eps > 0:
-            bad.append("inner_eps must be positive")
+        if not 0 < cfg.inner_eps < math.inf:
+            bad.append("inner_eps must be positive and finite")
     if cfg.task == "fisher":
         if not (0 < cfg.rho_min <= cfg.rho_max < 1):
             bad.append("need 0 < rho_min <= rho_max < 1")

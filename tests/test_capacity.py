@@ -9,8 +9,6 @@ from augustin_lab.capacity import (
     CapacityProblem,
     approx_oracle,
     approx_oracle_detailed,
-    emd_capacity_step,
-    initial_capacity_state,
     mirror_update,
     solve_capacity,
 )
@@ -97,6 +95,12 @@ class TestOracle:
         with pytest.raises(InvalidInput):
             approx_oracle(p, np.array([0.5, 0.5]), 0.0)
 
+    def test_rejects_infinite_eps(self):
+        # an infinite accuracy would stop after one sweep and bound nothing
+        p = symmetric_pair()
+        with pytest.raises(InvalidInput, match="positive and finite"):
+            approx_oracle(p, np.array([0.5, 0.5]), math.inf)
+
 
 def a_priori_sweeps(problem, w, start, eps):
     """Sweeps a fixed-count run from ``start`` needs for eps-accurate
@@ -117,14 +121,16 @@ class TestWarmStart:
     @pytest.mark.parametrize("eps", [1e-6, 1e-9])
     def test_eps_contract_along_warm_path(self, alpha, eps):
         p = CapacityProblem.create(random_density_ensemble(4100, 4, 2), alpha)
-        state = initial_capacity_state(p, eps)
+        w = np.full(4, 0.25)
+        result = approx_oracle_detailed(p, w, eps)
         for _ in range(20):
-            start = state.inner_state
-            state = emd_capacity_step(p, state)
-            g_ref, grad_ref = approx_oracle(p, state.w, 1e-13)
-            assert abs(state.g_hat - g_ref) <= eps + 1e-13
-            assert np.abs(state.grad_hat - grad_ref).max() <= eps + 1e-13
-            assert 1 <= state.inner_iters <= a_priori_sweeps(p, state.w, start, eps)
+            start = result.state
+            w = mirror_update(w, result.grad_hat)
+            result = approx_oracle_detailed(p, w, eps, start=start)
+            g_ref, grad_ref = approx_oracle(p, w, 1e-13)
+            assert abs(result.g_hat - g_ref) <= eps + 1e-13
+            assert np.abs(result.grad_hat - grad_ref).max() <= eps + 1e-13
+            assert 1 <= result.inner_iters <= a_priori_sweeps(p, w, start, eps)
 
     def test_warm_start_cuts_sweeps(self):
         p = CapacityProblem.create(random_density_ensemble(4101, 4, 2), 0.6)
@@ -153,9 +159,8 @@ class TestWarmStart:
             w = mirror_update(w, result.grad_hat)
             result = approx_oracle_detailed(p, w, 1e-9, start=result.state)
             assert len(calls) == 1
-        report = solve_capacity(p, 10, 1e-9)
+        solve_capacity(p, 10, 1e-9)
         assert len(calls) == 2
-        assert [s.inner_state is None for s in report.states] == [True] * 10 + [False]
 
     def test_no_certificate_by_the_cap_raises(self, monkeypatch):
         monkeypatch.setattr(capacity, "MAX_INNER_ITERS", 3)
@@ -191,9 +196,7 @@ class TestMirrorUpdate:
 
     def test_symmetric_problem_keeps_uniform_weights(self):
         p = symmetric_pair()
-        state = initial_capacity_state(p, 1e-10)
-        for _ in range(5):
-            state = emd_capacity_step(p, state)
+        for state in solve_capacity(p, 5, 1e-10).states:
             assert np.abs(state.w - 0.5).max() <= 1e-9
 
 
@@ -229,12 +232,62 @@ class TestSolve:
 
     def test_eps_schedule_sequence(self):
         p = symmetric_pair()
-        report = solve_capacity(p, 3, [1e-6, 1e-7, 1e-8, 1e-9])
-        assert [s.inner_eps for s in report.states] == [1e-6, 1e-7, 1e-8, 1e-9]
+        schedule = [1e-6, 1e-7, 1e-8, 1e-9]
+        report = solve_capacity(p, 3, schedule)
+        assert report.eps_budget == 2.0 * sum(schedule)
         with pytest.raises(InvalidInput):
             solve_capacity(p, 3, [1e-6, 1e-7])
         with pytest.raises(InvalidInput):
             solve_capacity(p, 0)
+
+    def test_is_the_hand_driven_loop(self):
+        # each step moves w on the last gradient, then queries the oracle at
+        # its own eps, warm-started from the last inner state
+        p = CapacityProblem.create(random_density_ensemble(4104, 4, 2), 0.7)
+        schedule = [1e-5, 1e-7, 1e-9, 1e-6, 1e-11, 1e-8]
+        report = solve_capacity(p, 5, schedule)
+        w = np.full(4, 0.25)
+        result = approx_oracle_detailed(p, w, schedule[0])
+        by_hand = [(1, w, result)]
+        for step, eps in enumerate(schedule[1:], start=2):
+            w = mirror_update(w, result.grad_hat)
+            result = approx_oracle_detailed(p, w, eps, start=result.state)
+            by_hand.append((step, w, result))
+        assert len(report.states) == len(by_hand)
+        for state, (step, w, result) in zip(report.states, by_hand):
+            assert state.step == step
+            assert np.array_equal(state.w, w)
+            assert state.g_hat == result.g_hat
+            assert np.array_equal(state.grad_hat, result.grad_hat)
+            assert state.inner_iters == result.inner_iters
+        assert report.w_final is report.states[-1].w
+        assert report.c_hat == -report.states[-1].g_hat
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    def test_schedule_is_checked_before_any_oracle_call(self, monkeypatch, bad):
+        calls = []
+        oracle = capacity.approx_oracle_detailed
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "approx_oracle_detailed", counting)
+        p = symmetric_pair()
+        with pytest.raises(InvalidInput, match="positive and finite"):
+            solve_capacity(p, 3, [1e-9, 1e-9, 1e-9, bad])
+        with pytest.raises(InvalidInput, match="positive and finite"):
+            solve_capacity(p, 3, bad)
+        assert calls == []
+        solve_capacity(p, 3, [1e-9] * 4)
+        assert len(calls) == 4
+
+    def test_zero_dimensional_schedule_is_a_scalar(self):
+        p = symmetric_pair()
+        report = solve_capacity(p, 3, np.array(1e-8))
+        scalar = solve_capacity(p, 3, 1e-8)
+        assert report.eps_budget == scalar.eps_budget
+        assert [s.g_hat for s in report.states] == [s.g_hat for s in scalar.states]
 
     def test_grid_oracle_matches_long_run(self):
         p = symmetric_pair()

@@ -275,6 +275,7 @@ class TestConfigHandling:
             ("augustin", {"alpha": math.inf}, "order inf outside (0,1)u(1,inf)"),
             ("capacity", {"outer_steps": 0}, "outer_steps must be >= 1"),
             ("capacity", {"inner_eps": 0.0}, "inner_eps must be positive"),
+            ("capacity", {"inner_eps": math.inf}, "inner_eps must be positive and finite"),
             ("fisher", {"rho_min": 0.5, "rho_max": 0.4}, "need 0 < rho_min <= rho_max < 1"),
             ("fisher", {"rho_hat": 0.5}, "seller bound 0.5 must lie in [max elasticity, 1)"),
             ("fisher", {"schedule": "weekly"}, "unknown schedule 'weekly'"),
@@ -284,8 +285,8 @@ class TestConfigHandling:
             ("divergence-demo", {"grid_resolution": 2}, "grid_resolution must lie in [3, 2000]"),
         ],
         ids=[
-            "alpha_inf", "outer_steps", "inner_eps", "rho_order", "rho_hat", "schedule", "epochs",
-            "goods", "polyak_steps", "grid_resolution",
+            "alpha_inf", "outer_steps", "inner_eps", "inner_eps_inf", "rho_order", "rho_hat",
+            "schedule", "epochs", "goods", "polyak_steps", "grid_resolution",
         ],
     )
     def test_task_checks_exit_2(self, task, payload, message, tmp_path, capsys):
