@@ -1,4 +1,4 @@
-"""CES Fisher markets: demand, potential, and multiplicative price updates.
+"""CES Fisher markets: demand, potential, equilibrium prices and price updates.
 
 Each buyer j has budget w_j and a CES utility <a_j, x^rho_j>^(1/rho_j) with
 elasticity rho_j in (0, 1) (the gross-substitutes regime).  Each seller i
@@ -7,6 +7,11 @@ buyers' elasticities.  Updated prices move by p_i <- p_i * x(p)_i^(1-rho_hat_i)
 where x is total demand; sellers may update asynchronously, and the distance
 to the equilibrium price vector contracts by max_i rho_hat_i per epoch (a
 stretch of rounds in which every seller updates at least once).
+
+Demand is one log-domain kernel over a goods-major (goods x buyers) array.
+The equilibrium oracle does not run that dynamic: it minimises the market's
+convex potential by damped Newton steps in log-prices, so seller bounds next
+to 1, where the dynamic needs tens of thousands of rounds, cost it nothing.
 """
 
 from __future__ import annotations
@@ -57,14 +62,22 @@ class FisherMarket:
     # cheap as validation, and a market that never prices pays nothing.
     @cached_property
     def _scaled_log_valuations(self) -> np.ndarray:
-        """e_j * log a_jk with e_j = 1/(1-rho_j); -inf where a_jk = 0."""
+        """Goods-major (d, n): e_j * log a_jk at [k, j] with e_j = 1/(1-rho_j);
+        -inf where a_jk = 0."""
         with np.errstate(divide="ignore"):
-            return np.log(self.valuations) / (1.0 - self.elasticities)[:, None]
+            logs = np.log(self.valuations.T, order="C")
+        logs /= 1.0 - self.elasticities
+        return logs
 
     @cached_property
     def _price_exponents(self) -> np.ndarray:
         """rho_j * e_j = rho_j / (1 - rho_j)."""
         return self.elasticities / (1.0 - self.elasticities)
+
+    @cached_property
+    def _potential_weights(self) -> np.ndarray:
+        """w_j (1 - rho_j) / rho_j, the weight of buyer j's log-sum in the potential."""
+        return self.budgets * (1.0 - self.elasticities) / self.elasticities
 
     @property
     def n_buyers(self) -> int:
@@ -94,28 +107,29 @@ def _check_prices(p) -> np.ndarray:
     return p
 
 
-def _spending(market: FisherMarket, p: np.ndarray, rows=slice(None)):
-    """Unnormalised spending shares of the buyers in ``rows`` at prices p.
+def _spending(market: FisherMarket, log_p: np.ndarray, buyers=slice(None)):
+    """Unnormalised spending shares of the ``buyers`` at log-prices ``log_p``.
 
-    Returns ``s = exp(z - m)``, its sum over goods and the row maximum ``m``
-    of ``z_jk = e_j log a_jk - rho_j e_j log p_k``.  Buyer j spends the share
-    ``s_jk / sum_k s_jk`` of its budget on good k, and ``m + log(sum_k s_jk)``
-    is ``log sum_k a_jk^e_j p_k^(-rho_j e_j)``.  Shifting by the row maximum
-    keeps every term finite for elasticities close to 1, where
-    ``a^e * p^(-e)`` overflows.
+    Goods-major: returns ``s = exp(z - m)`` with ``s[k, j]`` for good k and
+    buyer j, its sum over goods and the per-buyer maximum ``m`` of
+    ``z_kj = e_j log a_jk - rho_j e_j log p_k``.  Buyer j spends the share
+    ``s_kj / sum_l s_lj`` of its budget on good k, and ``m + log(sum_k s_kj)``
+    is ``log sum_k a_jk^e_j p_k^(-rho_j e_j)``.  Shifting by the maximum keeps
+    every term finite for elasticities close to 1, where ``a^e * p^(-e)``
+    overflows.  The sums over goods run down columns of a C-ordered array.
     """
-    z = np.multiply.outer(market._price_exponents[rows], -np.log(p))
-    z += market._scaled_log_valuations[rows]
-    m = z.max(axis=-1, keepdims=True)
+    z = np.multiply.outer(-log_p, market._price_exponents[buyers])
+    z += market._scaled_log_valuations[:, buyers]
+    m = z.max(axis=0)
     z -= m
     s = np.exp(z, out=z)
-    return s, s.sum(axis=-1), m[..., 0]
+    return s, s.sum(axis=0), m
 
 
 def buyer_demand(market: FisherMarket, j: int, p) -> np.ndarray:
     """Utility-maximizing demand of buyer j at prices p (budget exhausted)."""
     p = _check_prices(p)
-    s, total, _ = _spending(market, p, j)
+    s, total, _ = _spending(market, np.log(p), j)
     return market.budgets[j] / total * s / p
 
 
@@ -123,12 +137,17 @@ def total_demand(market: FisherMarket, p) -> np.ndarray:
     """Sum of buyer demands; satisfies <p, x(p)> = 1.
 
     Uses ``p^(-e) = p^(-rho e) / p``: buyer j demands
-    ``w_j s_jk / (p_k sum_l s_jl)`` of good k, so the sum over buyers is one
-    weighted row sum divided by the prices.
+    ``w_j s_kj / (p_k sum_l s_lj)`` of good k, so the sum over buyers is one
+    matrix-vector product divided by the prices.
     """
     p = _check_prices(p)
-    s, total, _ = _spending(market, p)
-    return ((market.budgets / total) @ s) / p
+    s, total, _ = _spending(market, np.log(p))
+    return (s @ (market.budgets / total)) / p
+
+
+def _potential(market: FisherMarket, p: np.ndarray, total: np.ndarray, m: np.ndarray) -> float:
+    """The potential at p from the spending sums ``total`` and maxima ``m`` at p."""
+    return float(p.sum() + market._potential_weights @ (m + np.log(total)))
 
 
 def potential(market: FisherMarket, p) -> float:
@@ -138,9 +157,8 @@ def potential(market: FisherMarket, p) -> float:
     its gradient is exactly 1 - x(p) coordinatewise.
     """
     p = _check_prices(p)
-    _, total, m = _spending(market, p)
-    rho = market.elasticities
-    return float(p.sum() + market.budgets * (1.0 - rho) / rho @ (m + np.log(total)))
+    _, total, m = _spending(market, np.log(p))
+    return _potential(market, p, total, m)
 
 
 @dataclass(frozen=True)
@@ -184,19 +202,26 @@ def _reprice(market: FisherMarket, state: PriceState, idx: np.ndarray, x: np.nda
 
 @dataclass(frozen=True)
 class UpdateSchedule:
-    """Explicit per-round subsets of goods whose sellers update."""
+    """Explicit per-round subsets of goods whose sellers update.
+
+    However it is built, each round is stored sorted and without repeats, and
+    an empty round is refused, so a round's first and last entries bound it.
+    """
 
     rounds: tuple
 
-    @classmethod
-    def create(cls, rounds) -> "UpdateSchedule":
+    def __post_init__(self) -> None:
         cleaned = []
-        for r, subset in enumerate(rounds):
+        for r, subset in enumerate(self.rounds):
             s = tuple(sorted(set(int(i) for i in subset)))
             if not s:
                 raise InvalidInput(f"round {r} has an empty update set")
             cleaned.append(s)
-        return cls(rounds=tuple(cleaned))
+        object.__setattr__(self, "rounds", tuple(cleaned))
+
+    @classmethod
+    def create(cls, rounds) -> "UpdateSchedule":
+        return cls(rounds=rounds)
 
     @classmethod
     def synchronous(cls, d: int, rounds: int) -> "UpdateSchedule":
@@ -248,30 +273,105 @@ def epoch_boundaries(schedule: UpdateSchedule, d: int) -> list[int]:
 def run_schedule(
     market: FisherMarket, p1, schedule: UpdateSchedule
 ) -> tuple[list[PriceState], list[int]]:
-    """Apply a schedule round by round; return all states and epoch boundaries."""
+    """Apply a schedule round by round; return all states and epoch boundaries.
+
+    Every round of an :class:`UpdateSchedule` is sorted and deduplicated, so
+    the indices are checked against the market once, before any repricing,
+    and each round then reprices exactly as :func:`tatonnement_step` would.
+    """
+    d = market.d_goods
+    if any(subset[0] < 0 or subset[-1] >= d for subset in schedule.rounds):
+        raise InvalidInput("update schedule contains an out-of-range good index")
     state = PriceState.start(p1)
     states = [state]
     for subset in schedule.rounds:
-        state = tatonnement_step(market, state, subset)
+        state = _reprice(market, state, np.asarray(subset), total_demand(market, state.p))
         states.append(state)
-    return states, epoch_boundaries(schedule, market.d_goods)
+    return states, epoch_boundaries(schedule, d)
+
+
+# Damped Newton on the potential: the fraction of the predicted decrease a
+# step must achieve (Armijo), and the factor that shortens a refused step.
+ARMIJO = 0.25
+BACKTRACK = 0.5
+# A predicted decrease at or below this share of the potential's magnitude
+# is within its rounding, where a sufficient-decrease test is noise.
+POTENTIAL_ROUNDING = 64 * np.finfo(float).eps
+
+
+def _log_price_hessian(
+    market: FisherMarket, p: np.ndarray, s: np.ndarray, total: np.ndarray
+) -> np.ndarray:
+    """Hessian of the potential in log-prices ``u = log p`` at p.
+
+    With spending shares ``sigma = s / total`` (goods x buyers) and
+    ``r_j = rho_j / (1 - rho_j)`` it is
+    ``diag(p + sigma (w r)) - sigma diag(w r) sigma^T``.  Each buyer adds
+    ``w_j r_j (diag(sigma_j) - sigma_j sigma_j^T)``, which is PSD, so the
+    Hessian dominates ``diag(p)`` and is positive definite.  It is built
+    from ``s`` with the buyers' factors ``1/total`` folded into the weights,
+    so the one (d x n) temporary is the scaled copy of ``s`` in the GEMM.
+    """
+    weights = market.budgets * market._price_exponents / total
+    hessian = -((s * (weights / total)) @ s.T)
+    hessian[np.diag_indices_from(hessian)] += p + s @ weights
+    return hessian
 
 
 def equilibrium_prices(
-    market: FisherMarket, *, max_rounds: int = 2000, tol: float = 1e-10
+    market: FisherMarket, *, max_steps: int = 200, tol: float = 1e-10
 ) -> np.ndarray:
-    """Long-run equilibrium oracle: synchronous updates until excess demand
-    is below ``tol`` in sup norm; :class:`NotConverged` after ``max_rounds``."""
-    state = PriceState.start(np.full(market.d_goods, 1.0 / market.d_goods))
-    everyone = np.arange(market.d_goods)
-    while True:
-        # one demand evaluation per round serves both the stop test and the update
-        x = total_demand(market, state.p)
-        residual = float(np.abs(x - 1.0).max())
+    """Equilibrium prices by damped Newton on the potential in log-prices.
+
+    Starts from ``p = 1/d``.  In ``u = log p`` the potential's gradient is
+    ``p - sigma w`` (supply minus spending, per good) and its Hessian is
+    :func:`_log_price_hessian`, so every Newton direction descends.  Each step
+    backtracks from the full step until the potential falls by ``ARMIJO``
+    times the predicted decrease, except that a predicted decrease within the
+    potential's rounding takes the full step: there the test cannot tell a
+    decrease from noise, and Newton converges quadratically.  Returns p once
+    ``max |x(p) - 1| <= tol``, the residual :func:`total_demand` reports;
+    :class:`NotConverged`, with the residual, when a line search cannot move
+    or ``max_steps`` steps do not reach ``tol``.
+    """
+    if max_steps < 0:
+        raise InvalidInput("max_steps must be >= 0")
+    w = market.budgets
+    p = np.full(market.d_goods, 1.0 / market.d_goods)
+    log_p = np.log(p)
+    s, total, m = _spending(market, log_p)
+    phi = _potential(market, p, total, m)
+    for step in range(max_steps + 1):
+        spent = s @ (w / total)
+        residual = float(np.abs(spent / p - 1.0).max())
         if residual <= tol:
-            return state.p
-        if state.step >= max_rounds:
-            raise NotConverged(
-                f"equilibrium not reached within {max_rounds} rounds (residual {residual:.3e})"
-            )
-        state = _reprice(market, state, everyone, x)
+            return p
+        if step == max_steps:
+            break
+        gradient = p - spent
+        du = np.linalg.solve(_log_price_hessian(market, p, s, total), -gradient)
+        decrease = -float(gradient @ du)
+        # m + log(total) nearly cancels for small rho_j (each valuation row
+        # sums to 1), so the potential's rounding scales with both parts
+        magnitude = p.sum() + market._potential_weights @ (np.abs(m) + np.log(total))
+        floor = POTENTIAL_ROUNDING * max(1.0, magnitude)
+        t = 1.0
+        while True:
+            with np.errstate(over="ignore"):
+                trial = np.exp(log_p + t * du)
+            if np.all((trial > 0) & (trial < np.inf)):
+                log_trial = np.log(trial)
+                s_t, total_t, m_t = _spending(market, log_trial)
+                phi_t = _potential(market, trial, total_t, m_t)
+                if (t == 1.0 and decrease <= floor) or phi_t <= phi - ARMIJO * t * decrease:
+                    break
+            t *= BACKTRACK
+            if t * decrease <= floor:
+                raise NotConverged(
+                    f"equilibrium line search cannot move at Newton step {step + 1} "
+                    f"(residual {residual:.3e})"
+                )
+        p, log_p, s, total, m, phi = trial, log_trial, s_t, total_t, m_t, phi_t
+    raise NotConverged(
+        f"equilibrium not reached within max_steps={max_steps} (residual {residual:.3e})"
+    )

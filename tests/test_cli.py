@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from augustin_lab import fisher
 from augustin_lab.cli import (
     ExperimentConfig,
     _build_market,
@@ -13,6 +14,7 @@ from augustin_lab.cli import (
     main,
     validate_config,
 )
+from augustin_lab.errors import NotConverged
 from augustin_lab.fisher import FisherMarket
 
 
@@ -229,22 +231,31 @@ class TestConfigHandling:
     def test_invalid_parameters_exit_2(self, tmp_path):
         assert main(["capacity", "--alpha", "0.3", "--out", str(tmp_path / "x")]) == 2
 
-    def test_numerical_failure_exit_3(self, tmp_path):
-        # seller bounds so close to 1 that the equilibrium oracle cannot
-        # converge within its round budget
-        code = main(
-            [
-                "fisher",
-                "--buyers", "3",
-                "--goods", "4",
-                "--rho-min", "0.9",
-                "--rho-max", "0.99",
-                "--rho-hat", "0.999",
-                "--epochs", "2",
-                "--out", str(tmp_path / "f"),
-            ]
-        )
+    def test_numerical_failure_exit_3(self, tmp_path, monkeypatch):
+        def not_converged(market):
+            raise NotConverged("equilibrium not reached within max_steps=200")
+
+        monkeypatch.setattr(fisher, "equilibrium_prices", not_converged)
+        code = main(["fisher", "--buyers", "3", "--goods", "4", "--out", str(tmp_path / "f")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--buyers", "3", "--goods", "4", "--rho-min", "0.9", "--rho-max", "0.99",
+             "--rho-hat", "0.999", "--epochs", "2"],
+            ["--epochs", "3", "--rho-max", "0.99", "--rho-hat", "0.995"],
+        ],
+        ids=["rho-hat-0.999", "rho-hat-0.995"],
+    )
+    def test_near_unit_market_prices(self, flags, tmp_path):
+        # seller bounds next to 1 slow the tatonnement, not the Newton oracle
+        out = tmp_path / "f"
+        assert main(["fisher", *flags, "--out", str(out)]) == 0
+        written = {"market.json", "schedule.json", "fisher_trace.csv", "manifest.json"}
+        assert {path.name for path in out.iterdir()} == written
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["equilibrium_residual"] <= 1e-10
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AUGUSTIN_LAB_OUT", str(tmp_path / "env_out"))

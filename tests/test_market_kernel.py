@@ -1,9 +1,11 @@
 """The vectorised log-domain demand kernel of the CES Fisher market.
 
 Covers the large-market agreement between total demand, per-buyer demand and
-the potential's gradient, elasticities next to 1 (where the direct form
-``a^e * p^(-e)`` overflows), one demand evaluation per equilibrium round, and
-the ``max rho_hat`` epoch contraction at a thousand buyers.
+the potential's gradient, the goods-major layout against the buyer-major
+formula, elasticities next to 1 (where the direct form ``a^e * p^(-e)``
+overflows), the demand evaluations of the equilibrium oracle, a schedule
+checked once and then stepped like the public step, and the ``max rho_hat``
+epoch contraction at a thousand buyers.
 """
 
 import warnings
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from augustin_lab import fisher
-from augustin_lab.errors import NonFinite, NotConverged
+from augustin_lab.errors import InvalidInput, NonFinite, NotConverged
 from augustin_lab.fisher import (
     FisherMarket,
     PriceState,
@@ -100,11 +102,9 @@ class TestNumericalEdges:
 
     def test_elasticity_near_one_reaches_equilibrium(self):
         m = near_unit_market()
-        # every seller bound is 0.999, so each round removes about 1e-3 of the
-        # log-distance: the default 2000 rounds are a typed stop, not a NaN
-        with pytest.raises(NotConverged, match="not reached within 2000 rounds"):
-            equilibrium_prices(m)
-        p_star = equilibrium_prices(m, max_rounds=25_000)
+        # every seller bound is 0.999: the tatonnement removes about 1e-3 of
+        # the log-distance per round, but Newton on the potential does not care
+        p_star = equilibrium_prices(m)
         assert np.abs(total_demand(m, p_star) - 1.0).max() <= 1e-10
         p1 = np.full(3, 1.0 / 3.0)
         states, _ = run_schedule(m, p1, UpdateSchedule.synchronous(3, 200))
@@ -113,7 +113,7 @@ class TestNumericalEdges:
             assert thompson_metric_vec(p_star, state.p) <= m.rho_hat_max**t * d0 * (1 + 1e-8)
 
     def test_price_leaving_the_orthant_is_non_finite(self):
-        # the round cap is NotConverged; only a price outside (0, inf) is NonFinite
+        # the step cap is NotConverged; only a price outside (0, inf) is NonFinite
         assert not issubclass(NotConverged, NonFinite)
         m = near_unit_market()
         state = PriceState.start(np.full(3, 1.0 / 3.0))
@@ -145,40 +145,95 @@ class TestNumericalEdges:
         assert "_scaled_log_valuations" in vars(m)
 
 
+class TestGoodsMajorKernel:
+    def test_layout_is_goods_major_and_contiguous(self):
+        m = thousand_buyer_market(9)
+        logs = m._scaled_log_valuations
+        assert logs.shape == (m.d_goods, m.n_buyers) and logs.flags.c_contiguous
+
+    def test_demand_matches_the_buyer_major_formula(self):
+        # the buyer-major form this kernel replaced, written out: the GEMV sums
+        # in another order, so the two agree to a few ulps, not bit for bit
+        m = thousand_buyer_market(10)
+        rho, w = m.elasticities, m.budgets
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            p = rng.uniform(0.2, 3.0, size=m.d_goods) / m.d_goods
+            z = np.multiply.outer(rho / (1 - rho), -np.log(p))
+            z += np.log(m.valuations) / (1 - rho)[:, None]
+            s = np.exp(z - z.max(axis=1, keepdims=True))
+            reference = ((w / s.sum(axis=1)) @ s) / p
+            assert np.abs(total_demand(m, p) / reference - 1.0).max() <= 4e-15
+            for j in (0, 517, 999):
+                alone = w[j] * s[j] / s[j].sum() / p
+                assert np.abs(buyer_demand(m, j, p) - alone).max() <= 4e-15 * alone.max()
+
+
+class TestScheduleCheckedOnce:
+    def test_states_are_those_of_the_public_step(self):
+        m = thousand_buyer_market(12)
+        sched = UpdateSchedule.random_coverage(m.d_goods, 20, seed=13)
+        p1 = np.full(m.d_goods, 1.0 / m.d_goods)
+        states, _ = run_schedule(m, p1, sched)
+        state = PriceState.start(p1)
+        assert np.array_equal(states[0].p, state.p)
+        for subset, ran in zip(sched.rounds, states[1:], strict=True):
+            state = tatonnement_step(m, state, subset)
+            assert ran.step == state.step and np.array_equal(ran.p, state.p)
+
+    def test_every_schedule_holds_sorted_nonempty_rounds(self):
+        assert UpdateSchedule([[3, 1, 3], (2,)]).rounds == ((1, 3), (2,))
+        with pytest.raises(InvalidInput, match="round 1 has an empty update set"):
+            UpdateSchedule([[0], []])
+
+    @pytest.mark.parametrize(
+        "bad", [[[0], [1, 50]], [[0], [-1, 2]], [[0], (50, 0)]], ids=["d", "negative", "unsorted"]
+    )
+    @pytest.mark.parametrize("build", [UpdateSchedule.create, UpdateSchedule])
+    def test_out_of_range_index_raises_before_any_repricing(self, bad, build, monkeypatch):
+        m = thousand_buyer_market(14)
+        calls = []
+        monkeypatch.setattr(fisher, "_reprice", lambda *args: calls.append(args))
+        monkeypatch.setattr(fisher, "total_demand", lambda *args: calls.append(args))
+        with pytest.raises(InvalidInput, match="out-of-range"):
+            run_schedule(m, np.full(m.d_goods, 1.0 / m.d_goods), build(bad))
+        assert calls == []
+
+
+def tatonnement_fixed_point(market):
+    """Synchronous tatonnement from 1/d until rho_hat^rounds is below 1e-17."""
+    state = PriceState.start(np.full(market.d_goods, 1.0 / market.d_goods))
+    for _ in range(int(np.ceil(np.log(1e-17) / np.log(market.rho_hat_max)))):
+        state = tatonnement_step(market, state, range(market.d_goods))
+    return state.p
+
+
 class TestDemandPerRound:
     def _counted(self, monkeypatch):
-        calls = {"demand": 0, "reprice": 0}
-        demand, reprice = fisher.total_demand, fisher._reprice
+        calls = {"spending": 0}
+        spending = fisher._spending
 
-        def counting_demand(*args):
-            calls["demand"] += 1
-            return demand(*args)
+        def counting_spending(*args):
+            calls["spending"] += 1
+            return spending(*args)
 
-        def counting_reprice(*args):
-            calls["reprice"] += 1
-            return reprice(*args)
-
-        monkeypatch.setattr(fisher, "total_demand", counting_demand)
-        monkeypatch.setattr(fisher, "_reprice", counting_reprice)
+        monkeypatch.setattr(fisher, "_spending", counting_spending)
         return calls
 
     def test_one_evaluation_per_round(self, monkeypatch):
+        # each trial point costs one spending evaluation, which serves its
+        # potential, the stop test and the next Newton step
         m = thousand_buyer_market(7)
         calls = self._counted(monkeypatch)
         p_star = equilibrium_prices(m)
-        rounds = calls["reprice"]
-        assert rounds > 0
-        assert calls["demand"] == rounds + 1
-        # the same prices as the public step, bit for bit
+        assert 0 < calls["spending"] <= 10
         monkeypatch.undo()
-        state = PriceState.start(np.full(m.d_goods, 1.0 / m.d_goods))
-        for _ in range(rounds):
-            state = tatonnement_step(m, state, range(m.d_goods))
-        assert np.array_equal(state.p, p_star)
+        assert np.abs(p_star / tatonnement_fixed_point(m) - 1.0).max() <= 2e-10
 
     def test_round_cap_counts(self, monkeypatch):
         m = thousand_buyer_market(8)
         calls = self._counted(monkeypatch)
-        with pytest.raises(NotConverged, match="within 3 rounds"):
-            equilibrium_prices(m, max_rounds=3)
-        assert calls == {"demand": 4, "reprice": 3}
+        with pytest.raises(NotConverged, match="within max_steps=1 "):
+            equilibrium_prices(m, max_steps=1)
+        # the start and one accepted full step
+        assert calls == {"spending": 2}
