@@ -287,9 +287,7 @@ class SolveReport:
 
     iterates: IterationTrace
     state: IterateState
-    converged: bool
     stop_reason: str
-    guaranteed: bool
     raw_iterates: list | None = None
     distance_bound: float | None = None
     rejected_mixes: int = 0
@@ -404,10 +402,8 @@ def solve_petz_augustin(
 
     the report's ``distance_bound``.  It costs O(n), holds for any iterate
     with coefficients (a mixed, warm or resumed one included), and the run
-    stops once r <= 2 * residual_tol.  On a plain run this fires no later
-    than the move stop residual <= residual_tol on the column below did:
-    that residual is at least kappa / 2 times the previous row's r, and r
-    contracts by kappa.  It assumes exact eigendecompositions.
+    stops once r <= 2 * residual_tol.  Each row's ``residual_thompson`` is
+    its r.  It assumes exact eigendecompositions.
 
     *Safeguarded mixing.*  The run keeps a memory, empty at every start, of
     the last MIX_DEPTH differences dU, dV of u and v between consecutive
@@ -426,25 +422,13 @@ def solve_petz_augustin(
     rest of the run.  So every row keeps the plain sweep's invariants, and a
     run makes at most one eigendecomposition more than it has rows.
 
-    *Residual column.*  ``residual_thompson`` bounds the Thompson distance
-    between consecutive rows' N.  It is exact for the vector form, for orders
-    at or below 1/2 and for the first sweep from a start given as a matrix.
-    Otherwise, with x_j = log(c_new,j / c_old,j) over the two rows'
-    coefficients, the same sandwich reads
-
-        d_T(N_new, N_old) <= |1-alpha| * max_j |x_j / alpha - log(tr_new / tr_old)|,
-
-    which holds whatever weights built either row.  At the eigensolver's
-    rounding floor the computed iterates move by more than it says.  Above
-    1/2 the column is only a diagnostic: a matrix start whose power is too
-    ill-conditioned to factor leaves the first row's entry empty.
-
     A combination S with an eigenvalue ratio at or below ``EIG_FLOOR`` stops
     the run ``SingularCombination``, with the ratio in ``detail``.  For
     orders at or below 1/2 there is no contraction guarantee and no mixing;
-    the run is labeled accordingly, the carried iterate is re-normalized
-    every sweep to postpone overflow, the residual is exact, and non-finite
-    values stop the run early with the partial trace preserved.
+    the carried iterate is re-normalized every sweep to postpone overflow,
+    the residual is the exact Thompson distance between consecutive rows,
+    and non-finite values stop the run early with the partial trace
+    preserved.
     """
     if max_iter < 1:
         raise InvalidInput("max_iter must be >= 1")
@@ -459,8 +443,8 @@ def solve_petz_augustin(
     else:
         metric = thompson_metric_psd
         ref_power = None if reference is None else matrix_power(hermitize(reference), 1.0 - alpha)
-    certified = guaranteed and not vector
     kappa = contraction_factor(alpha)
+    tol = 2.0 * residual_tol if guaranteed else residual_tol
 
     state = initial_state(problem, q1)
     v = memory = None
@@ -482,7 +466,7 @@ def solve_petz_augustin(
         try:
             if guaranteed:
                 new, new_v, memory = _guarded_sweep(problem, carried, v, memory, kappa)
-                r = _oscillation(new_v)
+                residual = _oscillation(new_v)
             else:
                 new = petz_augustin_step(problem, carried)
             # Guard before the residual: the metric below then sees only a
@@ -491,31 +475,15 @@ def solve_petz_augustin(
                 math.isfinite(new.f_value)
                 and math.isfinite(new.trace)
                 and new.trace > 0
-                and (not guaranteed or math.isfinite(r))
                 and (not vector or np.all(new.power > 0))
             ):
                 reason = STOP_NON_FINITE
                 break
-            if certified and carried.coefficients is not None:
-                # the O(n) move bound above
-                x = np.log(new.coefficients / carried.coefficients)
-                residual = abs(1.0 - alpha) * float(
-                    np.abs(x / alpha - math.log(new.trace / carried.trace)).max()
+            if not guaranteed:
+                residual = metric(
+                    new.power * new.trace ** (alpha - 1.0),
+                    carried.power * carried.trace ** (alpha - 1.0),
                 )
-            else:
-                # exact: the vector form, orders at or below 1/2, and the
-                # first sweep from a start given as a matrix
-                try:
-                    residual = metric(
-                        new.power * new.trace ** (alpha - 1.0),
-                        carried.power * carried.trace ** (alpha - 1.0),
-                    )
-                except SingularMatrix:
-                    if not guaranteed:
-                        raise
-                    # an ill-conditioned start's power defeats the Cholesky
-                    # factor; above 1/2 the column is only a diagnostic
-                    residual = None
         except SingularMatrix as exc:
             reason, detail = STOP_SINGULAR, str(exc)
             break
@@ -523,7 +491,7 @@ def solve_petz_augustin(
             reason = STOP_NON_FINITE
             break
         wall_time_ms = (perf_counter() - began) * 1e3
-        if residual is not None and not math.isfinite(residual):
+        if not math.isfinite(residual):
             reason = STOP_NON_FINITE
             break
         state = new
@@ -539,19 +507,14 @@ def solve_petz_augustin(
                 memory[0].append(np.log(carried.coefficients / state.coefficients))
                 memory[1].append(new_v - v)
             v = new_v
-            done = r <= 2.0 * residual_tol
-        else:
-            done = residual <= residual_tol
-        if done:
+        if residual <= tol:
             reason = STOP_RESIDUAL
             break
 
     return SolveReport(
         iterates=rows,
         state=state,
-        converged=reason == STOP_RESIDUAL,
         stop_reason=reason,
-        guaranteed=guaranteed,
         raw_iterates=raw,
         distance_bound=None if v is None else kappa / (1.0 - kappa) * _oscillation(v),
         rejected_mixes=int(guaranteed and memory is None),
@@ -617,7 +580,6 @@ def _require_vectors(problem) -> None:
 class PolyakRun:
     best_value: float
     best_point: np.ndarray
-    values: list[float]
 
 
 def emd_polyak_run(problem: ClassicalAugustinProblem, steps: int, f_best: float) -> PolyakRun:
@@ -627,12 +589,10 @@ def emd_polyak_run(problem: ClassicalAugustinProblem, steps: int, f_best: float)
     q = _uniform_start(problem)
     best_value = INF
     best_point = q
-    values = []
     for _ in range(steps):
         value = objective_f(problem, q)
-        values.append(value)
         if value < best_value:
             best_value = value
             best_point = np.array(q, copy=True)
         q = emd_polyak_step(problem, q, f_best)
-    return PolyakRun(best_value=best_value, best_point=best_point, values=values)
+    return PolyakRun(best_value=best_value, best_point=best_point)

@@ -116,8 +116,7 @@ def approx_oracle_detailed(
       bounds d_T(N_t, N*) <= kappa / (1 - kappa) * r, with kappa =
       |1 - 1/alpha| (see :func:`solve_petz_augustin`).  It costs O(n), holds
       for the warm start's coefficients under the new weights and for mixed
-      rows alike, and gives the same guarantee as the Banach bound
-      2 kappa / (1 - kappa) * res_t on the move res_t that it replaces.
+      rows alike.
 
     So the run stops at the first row with kappa / (1 - kappa) * r <=
     eps * (1 - alpha), i.e. at the solver's residual_tol = eps * (1 - alpha)

@@ -294,7 +294,6 @@ def run_fixed_point(cfg: ExperimentConfig) -> int:
     )
     ws.results = {
         "stop_reason": report.stop_reason,
-        "converged": report.converged,
         "reference_stop_reason": reference_report.stop_reason,
         "distance_bound": report.distance_bound,
         "rejected_mixes": report.rejected_mixes,

@@ -228,7 +228,7 @@ class TestSolver:
         a = random_density_ensemble(4, 1, 3)[0]
         p = AugustinProblem.create([a], [1.0], 1.5)
         report = solve_petz_augustin(p)
-        assert report.converged and report.stop_reason == STOP_RESIDUAL
+        assert report.stop_reason == STOP_RESIDUAL
         assert len(report.iterates) <= 4
         assert np.abs(report.final - a).max() <= 1e-8
 
@@ -259,7 +259,7 @@ class TestSolver:
         )
         p = ClassicalAugustinProblem.create(pts, np.ones(3) / 3, alpha)
         report = solve_petz_augustin(p, max_iter=60, residual_tol=0.0)
-        assert not report.guaranteed
+        assert report.distance_bound is None  # no contraction to certify
         assert report.stop_reason == STOP_MAX_ITER  # normalized carry avoids overflow
         assert len(report.iterates) == 61
         assert all(np.isfinite(v) for v in report.iterates.column("f_value"))
@@ -282,7 +282,6 @@ class TestSolver:
         p = make_problem(71, 3, 4, 1.5)
         report = solve_petz_augustin(p, max_iter=10, residual_tol=0.0)
         assert report.stop_reason == STOP_NON_FINITE
-        assert not report.converged
         assert len(report.iterates) == 3  # init + the two finite sweeps
 
         # a NaN combination reaches the unvalidated eigh of the sweep
@@ -318,14 +317,15 @@ class TestSolver:
         assert np.all(np.isfinite(report.final))
 
     def test_caller_error_in_the_metric_is_raised(self, monkeypatch):
-        # InvalidInput is the caller's error, never a numerical stop
+        # InvalidInput is the caller's error, never a numerical stop; at
+        # orders at or below 1/2 every row's residual is the exact metric
         from augustin_lab import augustin
 
         def refusing_metric(u, v):
             raise InvalidInput("refused")
 
         monkeypatch.setattr(augustin, "thompson_metric_psd", refusing_metric)
-        p = make_problem(70, 3, 4, 1.5)
+        p = make_problem(70, 3, 4, 0.4)
         with pytest.raises(InvalidInput):
             solve_petz_augustin(p, np.eye(4, dtype=complex) / 4, max_iter=3)
 
@@ -350,8 +350,8 @@ class TestSolver:
         assert len(report.iterates) == 2  # init + the first sweep
 
     def test_reference_distance_not_timed(self, monkeypatch):
-        # the reference distance is bookkeeping, not sweep work: a slow metric
-        # may only show in the first sweep's time, whose residual is exact
+        # the reference distance is bookkeeping, not sweep work: at orders
+        # above 1/2 no sweep's time holds a metric call
         import time
 
         from augustin_lab import augustin
@@ -366,7 +366,7 @@ class TestSolver:
         report = solve_petz_augustin(p, max_iter=5, residual_tol=0.0, reference=ref)
         assert len(report.iterates) == 6
         assert all(r.dist_to_reference is not None for r in report.iterates)
-        assert all(r.wall_time_ms < 50.0 for r in report.iterates.rows[2:])
+        assert all(r.wall_time_ms < 50.0 for r in report.iterates.rows[1:])
 
     def test_reference_distance_column(self):
         p = make_problem(73, 3, 4, 1.5)
@@ -403,7 +403,7 @@ class TestClassicalSolver:
         a = random_simplex(rng, 4)
         p = ClassicalAugustinProblem.create([a], [1.0], 1.5)
         report = solve_petz_augustin(p)
-        assert report.converged
+        assert report.stop_reason == STOP_RESIDUAL
         assert np.abs(report.final - a).max() <= 1e-10
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5, 3.0, 5.0])
@@ -573,8 +573,13 @@ class TestPolyakMirror:
         q = emd_polyak_step(p, np.full(3, 1 / 3), f_best=0.0)
         assert q.min() > 0 and q.sum() == pytest.approx(1.0)
         run = emd_polyak_run(p, steps=200, f_best=0.0)
-        assert len(run.values) == 200 and all(np.isfinite(run.values))
-        assert run.best_value == min(run.values) and run.best_point.min() > 0
+        values = []
+        q = np.full(3, 1 / 3)
+        for _ in range(200):
+            values.append(objective_f(p, q))
+            q = emd_polyak_step(p, q, f_best=0.0)
+        assert all(np.isfinite(values))
+        assert run.best_value == min(values) and run.best_point.min() > 0
 
     def test_commuting_quantum_problem_rejected(self, rng):
         # the reference takes probability vectors, even for diagonal states

@@ -1,13 +1,19 @@
 """Iterates carry the coefficients c_j of the combination they were swept
-from, so the solver's O(n) residual bound holds from any carried start (a
-warm start or a resume under other weights included), the report keeps the
-last raw iterate, and a start or a resume checks that it fits the problem."""
+from, so the solver's O(n) certificate holds from any carried start (a warm
+start or a resume under other weights included), the report keeps the last
+raw iterate, and a start or a resume checks that it fits the problem."""
 
 import numpy as np
 import pytest
 
 from augustin_lab import capacity
-from augustin_lab.augustin import _renormalized, apply_T_F, initial_state, solve_petz_augustin
+from augustin_lab.augustin import (
+    _renormalized,
+    apply_T_F,
+    contraction_factor,
+    initial_state,
+    solve_petz_augustin,
+)
 from augustin_lab.capacity import CapacityProblem, approx_oracle_detailed
 from augustin_lab.divergences import AugustinProblem, ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput
@@ -21,12 +27,20 @@ def mixed_states(seed, n, d):
     return [0.5 * s + 0.5 * np.eye(d) / d for s in random_density_ensemble(seed, n, d)]
 
 
-def first_move(report, alpha):
-    """The exact d_T(N_1, N_0) between the unit-trace powered iterates."""
-    old, new = report.raw_iterates[:2]
-    return thompson_metric_psd(
-        new.power * new.trace ** (alpha - 1.0), old.power * old.trace ** (alpha - 1.0)
+def first_row_is_certified(problem, report):
+    """kappa / (1 - kappa) times the first row's residual bounds d_T(N_1, N*)
+    to the problem's fixed point, reached through a long reference run
+    within its own bound."""
+    alpha = problem.order
+    kappa = contraction_factor(alpha)
+    ref = solve_petz_augustin(problem, max_iter=2000, residual_tol=1e-14)
+    first = report.raw_iterates[1]
+    distance = thompson_metric_psd(
+        first.power * first.trace ** (alpha - 1.0),
+        ref.state.power * ref.state.trace ** (alpha - 1.0),
     )
+    bound = kappa / (1.0 - kappa) * report.iterates.rows[1].residual_thompson
+    return bound + ref.distance_bound >= distance - 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.8])
@@ -34,9 +48,9 @@ def test_warm_oracle_call_under_new_weights_bounds_the_first_move(alpha, monkeyp
     reports = []
     solve = capacity.solve_petz_augustin
 
-    def keeping(*args, **kwargs):
-        reports.append(solve(*args, keep_iterates=True, **kwargs))
-        return reports[-1]
+    def keeping(problem, *args, **kwargs):
+        reports.append((problem, solve(problem, *args, keep_iterates=True, **kwargs)))
+        return reports[-1][1]
 
     monkeypatch.setattr(capacity, "solve_petz_augustin", keeping)
     rng = np.random.default_rng(7)
@@ -44,9 +58,9 @@ def test_warm_oracle_call_under_new_weights_bounds_the_first_move(alpha, monkeyp
     result = approx_oracle_detailed(p, np.full(4, 0.25), 1e-9)
     for _ in range(8):
         result = approx_oracle_detailed(p, rng.dirichlet(np.ones(4)), 1e-9, start=result.state)
-        report = reports[-1]
+        problem, report = reports[-1]
         assert report.raw_iterates[0].coefficients is not None
-        assert report.iterates.rows[1].residual_thompson >= first_move(report, alpha) - 1e-12
+        assert first_row_is_certified(problem, report)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 3.0])
@@ -58,7 +72,7 @@ def test_resume_under_other_weights_bounds_the_first_move(alpha):
     for start in run.raw_iterates[1:]:
         other = AugustinProblem.create(states, rng.dirichlet(np.ones(4)), alpha)
         report = solve_petz_augustin(other, start, max_iter=1, residual_tol=0.0, keep_iterates=True)
-        assert report.iterates.rows[1].residual_thompson >= first_move(report, alpha) - 1e-12
+        assert first_row_is_certified(other, report)
 
 
 def rebuilt(problem, state):
