@@ -288,7 +288,6 @@ class SolveReport:
     iterates: IterationTrace
     state: IterateState
     stop_reason: str
-    raw_iterates: list | None = None
     distance_bound: float | None = None
     rejected_mixes: int = 0
     detail: str = ""
@@ -363,7 +362,6 @@ def solve_petz_augustin(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     *,
     reference: np.ndarray | None = None,
-    keep_iterates: bool = False,
 ) -> SolveReport:
     """Run the fixed-point sweep from a full-rank start until it is certified
     within ``2 * kappa / (1 - kappa) * residual_tol`` of the fixed point (for
@@ -373,11 +371,12 @@ def solve_petz_augustin(
     Accepts an :class:`AugustinProblem` (density matrices) or a
     :class:`ClassicalAugustinProblem` (probability vectors); the default start
     is the maximally mixed state of either form.  ``q1`` may also be an
-    :class:`IterateState`, such as ``raw_iterates[k]`` of an earlier run, which
+    :class:`IterateState`, such as the ``state`` of an earlier report, which
     the run continues from without an eigendecomposition (see
-    :func:`initial_state`); under the same weights it repeats the rest of
-    that run bit for bit, except that at orders above 1/2 its Anderson memory
-    starts empty, so its first MIX_START rows are plain sweeps.
+    :func:`initial_state`); under the same weights it sweeps the rows that a
+    longer first run would have swept next, bit for bit, except that at
+    orders above 1/2 its Anderson memory starts empty, so its first
+    MIX_START rows are plain sweeps.
 
     *The sweep as a map on n numbers.*  A sweep from the pairings pi of an
     iterate sets c = w / pi, S = sum_j c_j A_j^alpha, Q = S^(1/alpha), and
@@ -453,7 +452,6 @@ def solve_petz_augustin(
         if state.coefficients is not None:
             v = _sweep_residual(problem, state)
     rows = IterationTrace()
-    raw = [state] if keep_iterates else None
     distance = None
     if ref_power is not None:
         distance = metric(ref_power, state.power * state.trace ** (alpha - 1.0))
@@ -500,8 +498,6 @@ def solve_petz_augustin(
         rows.append(
             TraceRow(state.step, state.f_value, state.trace, residual, distance, wall_time_ms)
         )
-        if keep_iterates:
-            raw.append(state)
         if guaranteed:
             if memory is not None and v is not None:
                 memory[0].append(np.log(carried.coefficients / state.coefficients))
@@ -515,7 +511,6 @@ def solve_petz_augustin(
         iterates=rows,
         state=state,
         stop_reason=reason,
-        raw_iterates=raw,
         distance_bound=None if v is None else kappa / (1.0 - kappa) * _oscillation(v),
         rejected_mixes=int(guaranteed and memory is None),
         detail=detail,

@@ -188,7 +188,7 @@ class CapacityReport:
     w_final: np.ndarray
     states: list[CapacityState]
     certificate: float  # log(n)/T rate bound assuming exact gradients
-    eps_budget: float  # accumulated inexactness allowance 2 * sum(eps_t)
+    eps_budget: float  # inexactness allowance 2 * (T + 1) * eps over the T + 1 oracle calls
 
     def write_csv(self, path) -> None:
         n = self.w_final.shape[0]
@@ -202,32 +202,23 @@ class CapacityReport:
         )
 
 
-def solve_capacity(
-    problem: CapacityProblem, T: int, eps_schedule=DEFAULT_EPS
-) -> CapacityReport:
+def solve_capacity(problem: CapacityProblem, T: int, eps: float = DEFAULT_EPS) -> CapacityReport:
     """Run T mirror-descent steps from uniform weights; report -g at the last iterate.
 
-    ``eps_schedule`` is either a constant oracle accuracy or a per-step
-    sequence of length T + 1 (the final entry covers the closing evaluation at
-    w_{T+1}); every entry is checked before the first oracle call.  Step t
-    moves w by :func:`mirror_update` on the last gradient (from t = 2 on) and
-    calls :func:`approx_oracle_detailed` at the new w, warm-started from the
-    last call's inner state, which only the loop holds.  The log(n)/T
-    certificate assumes exact gradients; the report carries the inexactness
-    budget 2 * sum(eps) separately.
+    Every oracle call, the closing evaluation at w_{T+1} included, is
+    ``eps``-accurate.  Step t moves w by :func:`mirror_update` on the last
+    gradient (from t = 2 on) and calls :func:`approx_oracle_detailed` at the
+    new w, warm-started from the last call's inner state, which only the loop
+    holds.  The log(n)/T certificate assumes exact gradients; the report
+    carries the inexactness budget 2 * (T + 1) * eps separately.
     """
     if T < 1:
         raise InvalidInput("outer iteration count must be >= 1")
-    if np.ndim(eps_schedule) == 0:
-        eps_list = [_checked_eps(eps_schedule)] * (T + 1)
-    else:
-        eps_list = [_checked_eps(e) for e in eps_schedule]
-        if len(eps_list) != T + 1:
-            raise InvalidInput(f"eps schedule must have length T+1 = {T + 1}")
+    eps = _checked_eps(eps)
     w = np.full(problem.n, 1.0 / problem.n)
     start = None
     states = []
-    for step, eps in enumerate(eps_list, start=1):
+    for step in range(1, T + 2):
         if step > 1:
             w = mirror_update(w, result.grad_hat)
         began = perf_counter()
@@ -244,5 +235,5 @@ def solve_capacity(
         w_final=last.w,
         states=states,
         certificate=math.log(problem.n) / T,
-        eps_budget=2.0 * float(sum(eps_list)),
+        eps_budget=2.0 * (T + 1) * eps,
     )

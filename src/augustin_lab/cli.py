@@ -313,7 +313,6 @@ def run_capacity(cfg: ExperimentConfig) -> int:
     report.write_csv(ws.path("capacity_trace.csv"))
     ws.results = {
         "c_hat": report.c_hat,
-        "g_final": report.g_final,
         "certificate": report.certificate,
         "eps_budget": report.eps_budget,
         "w_final": report.w_final.tolist(),

@@ -204,9 +204,12 @@ class AugustinProblem:
 
 @dataclass(frozen=True)
 class ClassicalAugustinProblem:
-    """Commuting specialization: probability vectors instead of matrices."""
+    """Commuting specialization: probability vectors instead of matrices.
 
-    points: np.ndarray  # (n, d), rows on the simplex
+    ``point_powers`` holds the (n, d) points raised to ``order``; the points
+    themselves are not kept.
+    """
+
     weights: np.ndarray
     order: float
     point_powers: np.ndarray = field(repr=False)
@@ -224,15 +227,15 @@ class ClassicalAugustinProblem:
         if not np.all(pts.sum(axis=0) > 0):
             raise InvalidInput("sum of points must be strictly positive coordinatewise")
         w = _check_weights(weights, pts.shape[0])
-        return cls(points=pts, weights=w, order=order, point_powers=pts**order)
+        return cls(weights=w, order=order, point_powers=pts**order)
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self.point_powers.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self.point_powers.shape[1]
 
 
 def pairing_traces(state_powers: np.ndarray, alpha: float, q: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ to 1, where the dynamic needs tens of thousands of rounds, cost it nothing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,7 +55,7 @@ class FisherMarket:
         rho_hat = np.asarray(seller_bounds, dtype=float)
         if rho_hat.shape != (d,):
             raise InvalidInput(f"expected {d} seller bounds, got shape {rho_hat.shape}")
-        if np.any(rho_hat < rho.max()) or np.any(rho_hat >= 1):
+        if not np.all((rho_hat >= rho.max()) & (rho_hat < 1)):
             raise InvalidInput("seller bounds must lie in [max elasticity, 1)")
         return cls(valuations=a, budgets=w, elasticities=rho, seller_bounds=rho_hat)
 
@@ -78,10 +79,6 @@ class FisherMarket:
     def _potential_weights(self) -> np.ndarray:
         """w_j (1 - rho_j) / rho_j, the weight of buyer j's log-sum in the potential."""
         return self.budgets * (1.0 - self.elasticities) / self.elasticities
-
-    @property
-    def n_buyers(self) -> int:
-        return self.valuations.shape[0]
 
     @property
     def d_goods(self) -> int:
@@ -180,7 +177,7 @@ def tatonnement_step(market: FisherMarket, state: PriceState, indices) -> PriceS
     With all goods selected and a common bound equal to the shared elasticity
     this reproduces the synchronous multiplicative rule.
     """
-    idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=int)
+    idx = np.asarray(_good_indices(indices), dtype=int)
     if idx.size == 0:
         raise InvalidInput("update set must be non-empty")
     if idx.min() < 0 or idx.max() >= market.d_goods:
@@ -200,6 +197,15 @@ def _reprice(market: FisherMarket, state: PriceState, idx: np.ndarray, x: np.nda
     return PriceState(step=state.step + 1, p=p_new)
 
 
+def _good_indices(subset) -> tuple:
+    """A round's good indices, sorted and without repeats.  Each must be an
+    integer (numpy integers included): a float is refused, not truncated."""
+    try:
+        return tuple(sorted(set(map(operator.index, subset))))
+    except TypeError:
+        raise InvalidInput(f"good indices must be integers, got {subset!r}") from None
+
+
 @dataclass(frozen=True)
 class UpdateSchedule:
     """Explicit per-round subsets of goods whose sellers update.
@@ -213,7 +219,7 @@ class UpdateSchedule:
     def __post_init__(self) -> None:
         cleaned = []
         for r, subset in enumerate(self.rounds):
-            s = tuple(sorted(set(int(i) for i in subset)))
+            s = _good_indices(subset)
             if not s:
                 raise InvalidInput(f"round {r} has an empty update set")
             cleaned.append(s)
@@ -297,6 +303,8 @@ BACKTRACK = 0.5
 # A predicted decrease at or below this share of the potential's magnitude
 # is within its rounding, where a sufficient-decrease test is noise.
 POTENTIAL_ROUNDING = 64 * np.finfo(float).eps
+MAX_NEWTON_STEPS = 200
+EQUILIBRIUM_TOL = 1e-10  # on max |x(p) - 1|
 
 
 def _log_price_hessian(
@@ -318,9 +326,7 @@ def _log_price_hessian(
     return hessian
 
 
-def equilibrium_prices(
-    market: FisherMarket, *, max_steps: int = 200, tol: float = 1e-10
-) -> np.ndarray:
+def equilibrium_prices(market: FisherMarket) -> np.ndarray:
     """Equilibrium prices by damped Newton on the potential in log-prices.
 
     Starts from ``p = 1/d``.  In ``u = log p`` the potential's gradient is
@@ -330,23 +336,21 @@ def equilibrium_prices(
     times the predicted decrease, except that a predicted decrease within the
     potential's rounding takes the full step: there the test cannot tell a
     decrease from noise, and Newton converges quadratically.  Returns p once
-    ``max |x(p) - 1| <= tol``, the residual :func:`total_demand` reports;
-    :class:`NotConverged`, with the residual, when a line search cannot move
-    or ``max_steps`` steps do not reach ``tol``.
+    ``max |x(p) - 1| <= EQUILIBRIUM_TOL``, the residual :func:`total_demand`
+    reports; :class:`NotConverged`, with the residual, when a line search
+    cannot move or ``MAX_NEWTON_STEPS`` steps do not reach it.
     """
-    if max_steps < 0:
-        raise InvalidInput("max_steps must be >= 0")
     w = market.budgets
     p = np.full(market.d_goods, 1.0 / market.d_goods)
     log_p = np.log(p)
     s, total, m = _spending(market, log_p)
     phi = _potential(market, p, total, m)
-    for step in range(max_steps + 1):
+    for step in range(MAX_NEWTON_STEPS + 1):
         spent = s @ (w / total)
         residual = float(np.abs(spent / p - 1.0).max())
-        if residual <= tol:
+        if residual <= EQUILIBRIUM_TOL:
             return p
-        if step == max_steps:
+        if step == MAX_NEWTON_STEPS:
             break
         gradient = p - spent
         du = np.linalg.solve(_log_price_hessian(market, p, s, total), -gradient)
@@ -373,5 +377,6 @@ def equilibrium_prices(
                 )
         p, log_p, s, total, m, phi = trial, log_trial, s_t, total_t, m_t, phi_t
     raise NotConverged(
-        f"equilibrium not reached within max_steps={max_steps} (residual {residual:.3e})"
+        f"equilibrium not reached within MAX_NEWTON_STEPS={MAX_NEWTON_STEPS} "
+        f"(residual {residual:.3e})"
     )

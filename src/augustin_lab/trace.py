@@ -33,9 +33,6 @@ class IterationTrace:
     def __iter__(self):
         return iter(self.rows)
 
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.rows]
-
     def to_csv(self, path) -> None:
         write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in self.rows))
 

@@ -123,9 +123,10 @@ def metric_comparability_check(u, v) -> tuple[float, float, bool]:
 # ---------------------------------------------------------------------------
 
 
-def diagonal_embedding(problem: ClassicalAugustinProblem) -> AugustinProblem:
-    """The same problem with every point embedded as a diagonal matrix."""
-    states = [np.diag(p.astype(complex)) for p in problem.points]
+def diagonal_embedding(problem: ClassicalAugustinProblem, points) -> AugustinProblem:
+    """The same problem with every point it was built from embedded as a
+    diagonal matrix."""
+    states = [np.diag(np.asarray(p, dtype=complex)) for p in points]
     return AugustinProblem.create(states, problem.weights, problem.order)
 
 

@@ -55,6 +55,7 @@ from reference import (
     make_dual_state,
     metric_comparability_check,
 )
+from conftest import raw_rows
 
 # denominators below this are dominated by eigensolver noise, where a ratio
 # carries no information at the 1e-8 slack scale
@@ -179,7 +180,7 @@ def test_c05_commuting_equivalence():
     for alpha in (0.8, 1.5):
         pts = rng.dirichlet(np.ones(16), size=8)
         classical = ClassicalAugustinProblem.create(pts, np.full(8, 1 / 8), alpha)
-        quantum = diagonal_embedding(classical)
+        quantum = diagonal_embedding(classical, pts)
         c_state = initial_state(classical, np.full(16, 1 / 16))
         q_state = initial_state(quantum, np.eye(16, dtype=complex) / 16)
         for _ in range(50):
@@ -404,10 +405,10 @@ def demo_runs():
 def test_c12a_divergence_demo_qualitative(demo_runs):
     issues = []
     for alpha, (problem, polyak, report) in demo_runs.items():
-        errors = report.iterates.column("dist_to_reference")
+        errors = [r.dist_to_reference for r in report.iterates]
         if not errors[60] > errors[5]:
             issues.append(f"alpha={alpha}: iterate error did not grow")
-        best_proposed = min(report.iterates.column("f_value"))
+        best_proposed = min(r.f_value for r in report.iterates)
         if not polyak.best_value < best_proposed:
             issues.append(f"alpha={alpha}: reference method not strictly better")
 
@@ -419,12 +420,12 @@ def test_c12a_divergence_demo_qualitative(demo_runs):
     report = solve_petz_augustin(
         problem, max_iter=60, residual_tol=0.0, reference=reference
     )
-    dist = report.iterates.column("dist_to_reference")
+    dist = [r.dist_to_reference for r in report.iterates]
     usable = [d for d in dist if d > RATIO_FLOOR]
     ratios = [usable[t + 1] / usable[t] for t in range(len(usable) - 1)]
     if not all(r <= contraction_factor(alpha) + 1e-8 for r in ratios):
         issues.append("large ensemble: per-step factor exceeded the contraction ratio")
-    f_values = report.iterates.column("f_value")
+    f_values = [r.f_value for r in report.iterates]
     if not all(f_values[t + 1] <= f_values[t] + 1e-10 for t in range(len(f_values) - 1)):
         issues.append("large ensemble: error decay not monotone")
     _verdict(12, "qualitative failure/success reproduction", not issues, "; ".join(issues))
@@ -439,7 +440,7 @@ def test_c12b_divergence_demo_separation(demo_runs):
     details = []
     for alpha, (problem, polyak, report) in demo_runs.items():
         separations[alpha] = objective_f(problem, report.final) - polyak.best_value
-        transient = min(report.iterates.column("f_value")) - polyak.best_value
+        transient = min(r.f_value for r in report.iterates) - polyak.best_value
         details.append(
             f"alpha={alpha}: final {separations[alpha]:.3e}, best-ever {transient:.3e}"
         )
@@ -462,11 +463,10 @@ def test_c13_reweighting_reduction():
                 [a_raw / a_raw.sum()], [1.0], alpha
             )
             start = np.full(6, 1 / 6)
-            report = solve_petz_augustin(
-                problem, q1=start, max_iter=30, residual_tol=0.0, keep_iterates=True
-            )
+            with raw_rows(problem, start) as rows:
+                report = solve_petz_augustin(problem, q1=start, max_iter=30, residual_tol=0.0)
             u = start.copy()
-            for state in report.raw_iterates[1:]:
+            for state in rows(report)[1:]:
                 u = (a_raw**alpha / np.dot(a_raw**alpha, u ** (1 - alpha))) ** (1 / alpha)
                 worst = max(worst, float(np.abs(state.matrix - u).max() / max(1.0, u.max())))
     _verdict(13, "diagonal reweighting reduction", worst <= 1e-10, f"max dev {worst:.1e}")

@@ -30,7 +30,7 @@ from augustin_lab.divergences import AugustinProblem, ClassicalAugustinProblem
 from augustin_lab.errors import DegenerateTrace, SingularMatrix
 from augustin_lab.linalg import matrix_power, random_density_ensemble, thompson_metric_psd
 from reference import diagonal_embedding
-from conftest import plain
+from conftest import plain, raw_rows
 
 # From I/d the memory holds its MIX_START-th difference after the row swept
 # from step MIX_START, so the first mixed point is swept from this step.
@@ -126,7 +126,7 @@ def test_ill_conditioned_start_is_no_singular_combination(alpha, ratio):
     lam = np.array([1.0, ratio, 0.5, 0.3])
     report = solve_petz_augustin(problem, (u * (lam / lam.sum())) @ u.conj().T)
     assert report.stop_reason == STOP_RESIDUAL and report.detail == ""
-    residuals = report.iterates.column("residual_thompson")
+    residuals = [r.residual_thompson for r in report.iterates]
     assert all(r is not None for r in residuals[1:])
     reference = solve_petz_augustin(problem, max_iter=2000, residual_tol=1e-14).final
     distance = thompson_metric_psd(
@@ -158,8 +158,9 @@ def test_plain_certificate_stop_fires_no_later_than_the_move_stop(alpha, monkeyp
     plain(monkeypatch)
     problem = AugustinProblem.create(random_density_ensemble(63, 5, 6), np.full(5, 0.2), alpha)
     # a plain run stops at the first row whose certificate is within 2 * tol
-    run = solve_petz_augustin(problem, max_iter=60, residual_tol=0.0, keep_iterates=True)
-    certs = [certificate(problem, s) for s in run.raw_iterates[1:]]
+    with raw_rows(problem) as rows:
+        run = solve_petz_augustin(problem, max_iter=60, residual_tol=0.0)
+    certs = [certificate(problem, s) for s in rows(run)[1:]]
     for tol in (1e-4, 1e-7, 1e-10):
         cert_stop = next(t for t, r in enumerate(certs) if r <= 2 * tol)
         report = solve_petz_augustin(problem, residual_tol=tol)
@@ -191,20 +192,22 @@ def rejected_step(calls):
 def test_a_run_to_the_rounding_floor_pays_one_rejected_mix(monkeypatch):
     calls = counting_steps(monkeypatch)
     problem = AugustinProblem.create(random_density_ensemble(65, 6, 8), np.full(6, 1 / 6), 1.5)
-    report = solve_petz_augustin(problem, max_iter=60, residual_tol=0.0, keep_iterates=True)
+    with raw_rows(problem) as rows:
+        report = solve_petz_augustin(problem, max_iter=60, residual_tol=0.0)
     assert report.stop_reason == STOP_MAX_ITER and len(report.iterates) == 61
     assert report.rejected_mixes == 1
     assert len(calls) == 61
-    assert_plain_from(problem, report.raw_iterates, rejected_step(calls))
+    assert_plain_from(problem, rows(report), rejected_step(calls))
 
 
 def test_after_a_rejection_every_row_is_the_plain_sweep(monkeypatch):
     calls = counting_steps(monkeypatch)
     problem = AugustinProblem.create(random_density_ensemble(65, 6, 8), np.full(6, 1 / 6), 1.5)
-    report = solve_petz_augustin(problem, max_iter=40, residual_tol=0.0, keep_iterates=True)
+    with raw_rows(problem) as rows:
+        report = solve_petz_augustin(problem, max_iter=40, residual_tol=0.0)
     off = rejected_step(calls)
     assert off > augustin.MIX_START
-    assert_plain_from(problem, report.raw_iterates, off)
+    assert_plain_from(problem, rows(report), off)
 
 
 def test_a_warm_start_begins_with_plain_sweeps():
@@ -213,10 +216,9 @@ def test_a_warm_start_begins_with_plain_sweeps():
     problem = AugustinProblem.create(random_density_ensemble(66, 4, 5), np.full(4, 0.25), 3.0)
     first = solve_petz_augustin(problem, max_iter=8, residual_tol=0.0)
     assert first.state.coefficients is not None
-    warm = solve_petz_augustin(
-        problem, first.state, max_iter=8, residual_tol=0.0, keep_iterates=True
-    )
-    assert_plain_from(problem, warm.raw_iterates[: augustin.MIX_START + 1], 0)
+    with raw_rows(problem, first.state) as rows:
+        warm = solve_petz_augustin(problem, first.state, max_iter=8, residual_tol=0.0)
+    assert_plain_from(problem, rows(warm)[: augustin.MIX_START + 1], 0)
 
 
 def test_non_finite_mixed_point_ends_the_run(monkeypatch):
@@ -248,10 +250,11 @@ def test_a_floor_refusing_the_mixed_point_is_a_rejection(refusal, monkeypatch):
 
     monkeypatch.setattr(augustin, "petz_augustin_step", refuse_mixed)
     problem = AugustinProblem.create(random_density_ensemble(68, 4, 5), np.full(4, 0.25), 3.0)
-    report = solve_petz_augustin(problem, residual_tol=0.0, max_iter=20, keep_iterates=True)
+    with raw_rows(problem) as rows:
+        report = solve_petz_augustin(problem, residual_tol=0.0, max_iter=20)
     assert report.stop_reason == STOP_MAX_ITER and len(report.iterates) == 21
     assert report.rejected_mixes == 1 and refused == [FIRST_MIX]
-    assert_plain_from(problem, report.raw_iterates, FIRST_MIX)
+    assert_plain_from(problem, rows(report), FIRST_MIX)
 
 
 @pytest.mark.parametrize("field", ["f_value", "trace"])
@@ -312,28 +315,27 @@ def stressed(draw):
     return kind, states, weights
 
 
-def rounding_floor(problem, report):
-    """eps * cond(Q)^max(alpha, 1) over the kept rows.  eigh of the
+def rounding_floor(problem, rows):
+    """eps * cond(Q)^max(alpha, 1) over the rows.  eigh of the
     combination S = Q^alpha returns its small eigenvalues to an absolute
     eps * |S|, so the pairings that F and r read are off by about
     eps * cond(S) relative, and d_T reads Q's own small eigenvalues."""
     conds = []
-    for s in report.raw_iterates:
+    for s in rows:
         lam = np.linalg.eigvalsh(s.matrix) if s.matrix.ndim == 2 else s.matrix
         conds.append(lam.max() / lam.min())
     return np.finfo(float).eps * max(conds) ** max(problem.order, 1.0)
 
 
-def rows_keep_invariants(problem, report):
+def rows_keep_invariants(problem, rows):
     alpha = problem.order
     kappa = contraction_factor(alpha)
-    slack = 1e-12 + 100 * rounding_floor(problem, report)
-    rows = report.iterates.rows
-    f = [r.f_value for r in rows]
+    slack = 1e-12 + 100 * rounding_floor(problem, rows)
+    f = [s.f_value for s in rows]
     if alpha > 1:
         assert all(b <= a + slack for a, b in zip(f, f[1:]))
-        assert all(r.trace <= 1.0 + slack for r in rows)
-    certs = [certificate(problem, s) for s in report.raw_iterates if s.coefficients is not None]
+        assert all(s.trace <= 1.0 + slack for s in rows)
+    certs = [certificate(problem, s) for s in rows if s.coefficients is not None]
     # r contracts by kappa in exact arithmetic
     assert all(new <= kappa * old + slack for old, new in zip(certs, certs[1:]))
     return slack
@@ -344,12 +346,13 @@ def rows_keep_invariants(problem, report):
 def test_stressed_runs_keep_the_invariants_or_stop_typed(case, alpha):
     kind, states, weights = case
     problem = AugustinProblem.create(states, weights, alpha)
-    report = solve_petz_augustin(problem, keep_iterates=True)
+    with raw_rows(problem) as rows:
+        report = solve_petz_augustin(problem)
     assert np.all(np.isfinite(report.final))
     if report.stop_reason in (STOP_SINGULAR, STOP_NON_FINITE):
         return
     assert report.stop_reason in (STOP_RESIDUAL, STOP_MAX_ITER)
-    slack = rows_keep_invariants(problem, report)
+    slack = rows_keep_invariants(problem, rows(report))
     reference = solve_petz_augustin(problem, max_iter=2000, residual_tol=1e-14)
     ref_power = matrix_power(reference.final, 1.0 - alpha)
     distance = thompson_metric_psd(matrix_power(report.final, 1.0 - alpha), ref_power)
@@ -372,15 +375,16 @@ def test_matrix_and_vector_forms_agree_on_diagonal_data(n, d, alpha, seed, tiny)
         weights[0] = 1e-9
         weights /= weights.sum()
     vector = ClassicalAugustinProblem.create(points, weights, alpha)
-    matrix = diagonal_embedding(vector)
+    matrix = diagonal_embedding(vector, points)
     runs = []
     for problem in (vector, matrix):
         # to the rounding floor: a certificate of exactly 0 stops earlier
-        report = solve_petz_augustin(problem, max_iter=300, residual_tol=0.0, keep_iterates=True)
+        with raw_rows(problem) as rows:
+            report = solve_petz_augustin(problem, max_iter=300, residual_tol=0.0)
         if report.stop_reason in (STOP_SINGULAR, STOP_NON_FINITE):
             return  # a typed stop: a floor refused the data
         assert report.stop_reason in (STOP_RESIDUAL, STOP_MAX_ITER)
-        rows_keep_invariants(problem, report)
+        rows_keep_invariants(problem, rows(report))
         runs.append(report)
     vec, mat = runs
     assert np.abs(np.diag(mat.final).real - vec.final).max() <= 1e-10

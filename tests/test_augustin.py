@@ -41,7 +41,7 @@ from reference import (
     dual_objective_H,
     make_dual_state,
 )
-from conftest import random_simplex, random_spd
+from conftest import random_simplex, random_spd, raw_rows
 
 
 def make_problem(seed, n, d, alpha):
@@ -50,8 +50,14 @@ def make_problem(seed, n, d, alpha):
 
 
 def make_classical(rng, n, d, alpha):
+    return make_embedded(rng, n, d, alpha)[0]
+
+
+def make_embedded(rng, n, d, alpha):
+    """A classical problem and its diagonal embedding."""
     pts = np.stack([random_simplex(rng, d) for _ in range(n)])
-    return ClassicalAugustinProblem.create(pts, np.full(n, 1.0 / n), alpha)
+    cp = ClassicalAugustinProblem.create(pts, np.full(n, 1.0 / n), alpha)
+    return cp, diagonal_embedding(cp, pts)
 
 
 class TestOperator:
@@ -68,8 +74,7 @@ class TestOperator:
 
     def test_diagonal_reduction(self, rng):
         alpha = 1.5
-        cp = make_classical(rng, 3, 4, alpha)
-        qp = diagonal_embedding(cp)
+        cp, qp = make_embedded(rng, 3, 4, alpha)
         u = rng.uniform(0.2, 2.0, size=4)
         vec = apply_T_F(cp, u)
         mat = apply_T_F(qp, np.diag(u.astype(complex)))
@@ -236,13 +241,13 @@ class TestSolver:
     def test_monotone_function_values(self, alpha):
         p = make_problem(70, 6, 8, alpha)
         report = solve_petz_augustin(p, max_iter=60)
-        f = report.iterates.column("f_value")
+        f = [r.f_value for r in report.iterates]
         assert all(f[t + 1] <= f[t] + 1e-10 for t in range(len(f) - 1))
 
     def test_trace_bound(self):
         p = make_problem(71, 6, 8, 3.0)
         report = solve_petz_augustin(p, max_iter=60)
-        traces = report.iterates.column("trace")
+        traces = [r.trace for r in report.iterates]
         assert all(tr <= 1 + 1e-10 for tr in traces)
 
     def test_trace_rows_count_executed_steps(self):
@@ -262,9 +267,9 @@ class TestSolver:
         assert report.distance_bound is None  # no contraction to certify
         assert report.stop_reason == STOP_MAX_ITER  # normalized carry avoids overflow
         assert len(report.iterates) == 61
-        assert all(np.isfinite(v) for v in report.iterates.column("f_value"))
+        assert all(np.isfinite(r.f_value) for r in report.iterates)
         # no contraction: the fixed-point residual never becomes small
-        residuals = report.iterates.column("residual_thompson")[1:]
+        residuals = [r.residual_thompson for r in report.iterates.rows[1:]]
         assert min(residuals) > 1e-2
 
     def test_non_finite_stop_reason(self, monkeypatch):
@@ -372,7 +377,7 @@ class TestSolver:
         p = make_problem(73, 3, 4, 1.5)
         ref = solve_petz_augustin(p, max_iter=200, residual_tol=1e-12).final
         report = solve_petz_augustin(p, max_iter=20, residual_tol=0.0, reference=ref)
-        dist = report.iterates.column("dist_to_reference")
+        dist = [r.dist_to_reference for r in report.iterates]
         assert all(d is not None for d in dist)
         assert dist[-1] <= dist[0]
 
@@ -412,11 +417,12 @@ class TestClassicalSolver:
         # and the two forms can decide those differently on rounding noise;
         # the normalized rows and F do not.
         for seed in [*range(60), 20240811]:
-            cp = make_classical(np.random.default_rng(seed), 4, 5, alpha)
-            qp = diagonal_embedding(cp)
-            crep = solve_petz_augustin(cp, max_iter=30, residual_tol=0.0, keep_iterates=True)
-            qrep = solve_petz_augustin(qp, max_iter=30, residual_tol=0.0, keep_iterates=True)
-            for cs, qs in zip(crep.raw_iterates, qrep.raw_iterates):
+            cp, qp = make_embedded(np.random.default_rng(seed), 4, 5, alpha)
+            with raw_rows(cp) as rows:
+                crows = rows(solve_petz_augustin(cp, max_iter=30, residual_tol=0.0))
+            with raw_rows(qp) as rows:
+                qrows = rows(solve_petz_augustin(qp, max_iter=30, residual_tol=0.0))
+            for cs, qs in zip(crows, qrows):
                 assert np.abs(np.diag(qs.normalized).real - cs.normalized).max() <= 1e-10, seed
                 assert abs(qs.f_value - cs.f_value) <= 1e-12, seed
 
@@ -451,11 +457,10 @@ class TestClassicalSolver:
             [a_raw / a_raw.sum()], [1.0], alpha
         )
         start = np.full(5, 0.2)
-        report = solve_petz_augustin(
-            problem, q1=start, max_iter=30, residual_tol=0.0, keep_iterates=True
-        )
+        with raw_rows(problem, start) as rows:
+            report = solve_petz_augustin(problem, q1=start, max_iter=30, residual_tol=0.0)
         u = start.copy()
-        for state in report.raw_iterates[1:]:
+        for state in rows(report)[1:]:
             u = (a_raw**alpha / np.dot(a_raw**alpha, u ** (1 - alpha))) ** (1 / alpha)
             assert np.abs(state.matrix - u).max() <= 1e-10 * (1 + u.max())
 
@@ -583,7 +588,7 @@ class TestPolyakMirror:
 
     def test_commuting_quantum_problem_rejected(self, rng):
         # the reference takes probability vectors, even for diagonal states
-        qp = diagonal_embedding(make_classical(rng, 3, 3, 0.4))
+        _, qp = make_embedded(rng, 3, 3, 0.4)
         with pytest.raises(Unsupported):
             emd_polyak_step(qp, np.eye(3, dtype=complex) / 3, f_best=0.0)
         with pytest.raises(Unsupported):

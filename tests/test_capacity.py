@@ -229,26 +229,16 @@ class TestSolve:
         assert report.certificate == pytest.approx(math.log(2) / 10)
         assert report.eps_budget == pytest.approx(2 * 11 * 1e-8)
 
-    def test_eps_schedule_sequence(self):
-        p = symmetric_pair()
-        schedule = [1e-6, 1e-7, 1e-8, 1e-9]
-        report = solve_capacity(p, 3, schedule)
-        assert report.eps_budget == 2.0 * sum(schedule)
-        with pytest.raises(InvalidInput):
-            solve_capacity(p, 3, [1e-6, 1e-7])
-        with pytest.raises(InvalidInput):
-            solve_capacity(p, 0)
-
     def test_is_the_hand_driven_loop(self):
-        # each step moves w on the last gradient, then queries the oracle at
-        # its own eps, warm-started from the last inner state
+        # each step moves w on the last gradient, then queries the oracle,
+        # warm-started from the last inner state
         p = CapacityProblem.create(random_density_ensemble(4104, 4, 2), 0.7)
-        schedule = [1e-5, 1e-7, 1e-9, 1e-6, 1e-11, 1e-8]
-        report = solve_capacity(p, 5, schedule)
+        eps = 1e-9
+        report = solve_capacity(p, 5, eps)
         w = np.full(4, 0.25)
-        result = approx_oracle_detailed(p, w, schedule[0])
+        result = approx_oracle_detailed(p, w, eps)
         by_hand = [(1, w, result)]
-        for step, eps in enumerate(schedule[1:], start=2):
+        for step in range(2, 7):
             w = mirror_update(w, result.grad_hat)
             result = approx_oracle_detailed(p, w, eps, start=result.state)
             by_hand.append((step, w, result))
@@ -274,11 +264,11 @@ class TestSolve:
         monkeypatch.setattr(capacity, "approx_oracle_detailed", counting)
         p = symmetric_pair()
         with pytest.raises(InvalidInput, match="positive and finite"):
-            solve_capacity(p, 3, [1e-9, 1e-9, 1e-9, bad])
-        with pytest.raises(InvalidInput, match="positive and finite"):
             solve_capacity(p, 3, bad)
+        with pytest.raises(InvalidInput, match="outer iteration count"):
+            solve_capacity(p, 0)
         assert calls == []
-        solve_capacity(p, 3, [1e-9] * 4)
+        solve_capacity(p, 3, 1e-9)
         assert len(calls) == 4
 
     def test_zero_dimensional_schedule_is_a_scalar(self):

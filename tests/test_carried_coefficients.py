@@ -3,6 +3,8 @@ from, so the solver's O(n) certificate holds from any carried start (a warm
 start or a resume under other weights included), the report keeps the last
 raw iterate, and a start or a resume checks that it fits the problem."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from augustin_lab.capacity import CapacityProblem, approx_oracle_detailed
 from augustin_lab.divergences import AugustinProblem, ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput
 from augustin_lab.linalg import matrix_power, random_density_ensemble, thompson_metric_psd
+from conftest import raw_rows
 
 
 def mixed_states(seed, n, d):
@@ -27,14 +30,13 @@ def mixed_states(seed, n, d):
     return [0.5 * s + 0.5 * np.eye(d) / d for s in random_density_ensemble(seed, n, d)]
 
 
-def first_row_is_certified(problem, report):
+def first_row_is_certified(problem, report, first):
     """kappa / (1 - kappa) times the first row's residual bounds d_T(N_1, N*)
-    to the problem's fixed point, reached through a long reference run
-    within its own bound."""
+    from the first row's iterate ``first`` to the problem's fixed point,
+    reached through a long reference run within its own bound."""
     alpha = problem.order
     kappa = contraction_factor(alpha)
     ref = solve_petz_augustin(problem, max_iter=2000, residual_tol=1e-14)
-    first = report.raw_iterates[1]
     distance = thompson_metric_psd(
         first.power * first.trace ** (alpha - 1.0),
         ref.state.power * ref.state.trace ** (alpha - 1.0),
@@ -48,9 +50,11 @@ def test_warm_oracle_call_under_new_weights_bounds_the_first_move(alpha, monkeyp
     reports = []
     solve = capacity.solve_petz_augustin
 
-    def keeping(problem, *args, **kwargs):
-        reports.append((problem, solve(problem, *args, keep_iterates=True, **kwargs)))
-        return reports[-1][1]
+    def keeping(problem, start, **kwargs):
+        with raw_rows(problem, start) as rows:
+            report = solve(problem, start, **kwargs)
+        reports.append((problem, report, rows(report)))
+        return report
 
     monkeypatch.setattr(capacity, "solve_petz_augustin", keeping)
     rng = np.random.default_rng(7)
@@ -58,9 +62,9 @@ def test_warm_oracle_call_under_new_weights_bounds_the_first_move(alpha, monkeyp
     result = approx_oracle_detailed(p, np.full(4, 0.25), 1e-9)
     for _ in range(8):
         result = approx_oracle_detailed(p, rng.dirichlet(np.ones(4)), 1e-9, start=result.state)
-        problem, report = reports[-1]
-        assert report.raw_iterates[0].coefficients is not None
-        assert first_row_is_certified(problem, report)
+        problem, report, rows = reports[-1]
+        assert rows[0].coefficients is not None
+        assert first_row_is_certified(problem, report, rows[1])
 
 
 @pytest.mark.parametrize("alpha", [1.5, 3.0])
@@ -68,11 +72,12 @@ def test_resume_under_other_weights_bounds_the_first_move(alpha):
     rng = np.random.default_rng(8)
     states = mixed_states(4201, 4, 3)
     first = AugustinProblem.create(states, rng.dirichlet(np.ones(4)), alpha)
-    run = solve_petz_augustin(first, max_iter=6, residual_tol=0.0, keep_iterates=True)
-    for start in run.raw_iterates[1:]:
+    with raw_rows(first) as rows:
+        run = solve_petz_augustin(first, max_iter=6, residual_tol=0.0)
+    for start in rows(run)[1:]:
         other = AugustinProblem.create(states, rng.dirichlet(np.ones(4)), alpha)
-        report = solve_petz_augustin(other, start, max_iter=1, residual_tol=0.0, keep_iterates=True)
-        assert first_row_is_certified(other, report)
+        report = solve_petz_augustin(other, start, max_iter=1, residual_tol=0.0)
+        assert first_row_is_certified(other, report, report.state)
 
 
 def rebuilt(problem, state):
@@ -102,18 +107,20 @@ def test_oracle_state_coefficients_rebuild_its_iterate():
 
 @pytest.mark.parametrize("keep", [False, True])
 def test_report_keeps_the_last_raw_iterate(keep):
+    # with ``keep`` the rows are recorded as well, which leaves the run alone
     problem = AugustinProblem.create(random_density_ensemble(4204, 3, 4), np.full(3, 1 / 3), 1.5)
-    report = solve_petz_augustin(problem, max_iter=7, residual_tol=0.0, keep_iterates=keep)
+    with raw_rows(problem) if keep else nullcontext() as rows:
+        report = solve_petz_augustin(problem, max_iter=7, residual_tol=0.0)
     assert report.state.step == 7
     assert np.array_equal(report.final, report.state.matrix / report.state.trace)
     if keep:
-        assert report.state is report.raw_iterates[-1]
+        assert report.state is rows(report)[-1]
 
 
 def test_resume_into_another_dimension_raises():
     four = AugustinProblem.create(random_density_ensemble(4205, 3, 4), np.full(3, 1 / 3), 1.5)
     five = AugustinProblem.create(random_density_ensemble(4205, 3, 5), np.full(3, 1 / 3), 1.5)
-    last = solve_petz_augustin(four, max_iter=3, keep_iterates=True).raw_iterates[-1]
+    last = solve_petz_augustin(four, max_iter=3).state
     with pytest.raises(InvalidInput, match="shape"):
         solve_petz_augustin(five, last)
     vector = ClassicalAugustinProblem.create(np.full((3, 4), 0.25), np.full(3, 1 / 3), 1.5)
@@ -125,7 +132,7 @@ def test_resume_into_another_number_of_states_raises():
     states = random_density_ensemble(4206, 4, 3)
     three = AugustinProblem.create(states[:3], np.full(3, 1 / 3), 0.8)
     four = AugustinProblem.create(states, np.full(4, 0.25), 0.8)
-    last = solve_petz_augustin(three, max_iter=3, keep_iterates=True).raw_iterates[-1]
+    last = solve_petz_augustin(three, max_iter=3).state
     with pytest.raises(InvalidInput, match="3 states"):
         solve_petz_augustin(four, last)
 

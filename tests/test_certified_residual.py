@@ -16,15 +16,15 @@ from augustin_lab import augustin
 from augustin_lab.augustin import certificate, contraction_factor, solve_petz_augustin
 from augustin_lab.divergences import AugustinProblem, ClassicalAugustinProblem
 from augustin_lab.linalg import matrix_power, random_density_ensemble, thompson_metric_psd
-from conftest import random_simplex
+from conftest import random_simplex, raw_rows
 
 
 def normalized_power(state, alpha):
     return state.power * state.trace ** (alpha - 1.0)
 
 
-def certificates(problem, report):
-    return [certificate(problem, s) for s in report.raw_iterates[1:]]
+def certificates(problem, rows):
+    return [certificate(problem, s) for s in rows[1:]]
 
 
 orders = st.one_of(
@@ -55,13 +55,15 @@ def test_bound_is_at_least_the_exact_residual(n, d, alpha, seed, mix):
         (1.0 - mix) * s + mix * np.eye(d) / d for s in random_density_ensemble(seed, n, d)
     ]
     problem = AugustinProblem.create(states, rng.dirichlet(np.ones(n)), alpha)
-    report = solve_petz_augustin(problem, keep_iterates=True)
-    reported = report.iterates.column("residual_thompson")[1:]
-    assert reported == certificates(problem, report)
+    with raw_rows(problem) as rows_of:
+        report = solve_petz_augustin(problem)
+    rows = rows_of(report)
+    reported = [r.residual_thompson for r in report.iterates.rows[1:]]
+    assert reported == certificates(problem, rows)
     ref = solve_petz_augustin(problem, max_iter=2000, residual_tol=1e-14)
     ref_power = normalized_power(ref.state, alpha)
     scale = contraction_factor(alpha) / (1.0 - contraction_factor(alpha))
-    for r, state in zip(reported, report.raw_iterates[1:]):
+    for r, state in zip(reported, rows[1:]):
         distance = thompson_metric_psd(normalized_power(state, alpha), ref_power)
         assert scale * r + ref.distance_bound >= distance - 1e-12
 
@@ -70,7 +72,7 @@ def test_single_state_bound_vanishes_after_one_sweep():
     a = random_density_ensemble(4, 1, 3)[0]
     problem = AugustinProblem.create([a], [1.0], 1.5)
     report = solve_petz_augustin(problem, max_iter=5, residual_tol=0.0)
-    assert all(r <= 1e-14 for r in report.iterates.column("residual_thompson")[2:])
+    assert all(r.residual_thompson <= 1e-14 for r in report.iterates.rows[2:])
 
 
 def test_matrix_solve_calls_exact_metric_at_most_once(monkeypatch):
@@ -93,8 +95,10 @@ def test_vector_form_keeps_the_exact_residual(alpha):
     rng = np.random.default_rng(31)
     points = np.stack([random_simplex(rng, 5) for _ in range(4)])
     problem = ClassicalAugustinProblem.create(points, np.full(4, 0.25), alpha)
-    report = solve_petz_augustin(problem, max_iter=10, residual_tol=0.0, keep_iterates=True)
-    assert report.iterates.column("residual_thompson")[1:] == certificates(problem, report)
+    with raw_rows(problem) as rows:
+        report = solve_petz_augustin(problem, max_iter=10, residual_tol=0.0)
+    reported = [r.residual_thompson for r in report.iterates.rows[1:]]
+    assert reported == certificates(problem, rows(report))
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.5, 3.0])

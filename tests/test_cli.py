@@ -233,7 +233,7 @@ class TestConfigHandling:
 
     def test_numerical_failure_exit_3(self, tmp_path, monkeypatch):
         def not_converged(market):
-            raise NotConverged("equilibrium not reached within max_steps=200")
+            raise NotConverged("equilibrium not reached within MAX_NEWTON_STEPS=200")
 
         monkeypatch.setattr(fisher, "equilibrium_prices", not_converged)
         code = main(["fisher", "--buyers", "3", "--goods", "4", "--out", str(tmp_path / "f")])

@@ -160,7 +160,7 @@ class TestObjectives:
         pts = np.stack([random_simplex(rng, d) for _ in range(n)])
         w = random_simplex(rng, n)
         cp = ClassicalAugustinProblem.create(pts, w, alpha)
-        qp = diagonal_embedding(cp)
+        qp = diagonal_embedding(cp, pts)
         for _ in range(5):
             q = random_simplex(rng, d)
             fv = objective_f(cp, q)

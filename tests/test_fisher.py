@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augustin_lab.augustin import initial_state, petz_augustin_step
+from augustin_lab.augustin import (
+    STOP_RESIDUAL,
+    initial_state,
+    petz_augustin_step,
+    solve_petz_augustin,
+)
 from augustin_lab.divergences import ClassicalAugustinProblem
 from augustin_lab.errors import InvalidInput
 from augustin_lab.fisher import (
@@ -60,6 +65,15 @@ class TestMarketValidation:
                 [0.5, 0.5, 0.5],  # below max elasticity
             )
 
+    def test_nan_seller_bound_rejected(self):
+        # NaN fails every comparison: it is refused here, not met as a
+        # non-finite price update later
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInput, match="seller bounds"):
+            FisherMarket.create(
+                rng.dirichlet(np.ones(3), size=2), [0.5, 0.5], [0.3, 0.4], [0.5, math.nan, 0.5]
+            )
+
     def test_elasticity_range_enforced(self):
         rng = np.random.default_rng(0)
         for bad in ([0.0, 0.5], [0.5, 1.0], [-0.2, 0.5]):
@@ -104,7 +118,7 @@ class TestDemand:
         m = random_market(seed % 100)
         rng = np.random.default_rng(seed)
         p = rng.uniform(0.05, 3.0, size=m.d_goods)
-        for j in range(m.n_buyers):
+        for j in range(len(m.budgets)):
             x = buyer_demand(m, j, p)
             assert np.dot(p, x) == pytest.approx(m.budgets[j], abs=1e-10)
 
@@ -275,6 +289,21 @@ class TestTatonnement:
             state_m = tatonnement_step(m, state_m, range(m.d_goods))
             state_c = petz_augustin_step(problem, state_c)
             assert np.abs(state_m.p - state_c.matrix).max() <= 1e-10 * max(1, state_c.matrix.max())
+
+    def test_equilibrium_is_the_sweep_fixed_point(self):
+        # at a common elasticity rho the equilibrium prices are the fixed
+        # point of the vector sweep at order 1/(1-rho), both solved to their
+        # default tolerances
+        rng = np.random.default_rng(4400)
+        worst = 0.0
+        for _ in range(50):
+            n, d, rho = rng.integers(1, 30), rng.integers(2, 20), rng.uniform(0.05, 0.95)
+            m = common_rho_market(rng, rho, n, d)
+            problem = ClassicalAugustinProblem.create(m.valuations, m.budgets, 1.0 / (1.0 - rho))
+            report = solve_petz_augustin(problem)
+            assert report.stop_reason == STOP_RESIDUAL
+            worst = max(worst, np.abs(np.log(equilibrium_prices(m) / report.final)).max())
+        assert worst <= 1e-8
 
 
 class TestSchedules:

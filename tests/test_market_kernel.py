@@ -53,7 +53,7 @@ class TestThousandBuyers:
         for _ in range(3):
             p = rng.uniform(0.2, 3.0, size=m.d_goods) / m.d_goods
             x = total_demand(m, p)
-            summed = sum(buyer_demand(m, j, p) for j in range(m.n_buyers))
+            summed = sum(buyer_demand(m, j, p) for j in range(len(m.budgets)))
             assert np.abs(x / summed - 1.0).max() <= 1e-13
             assert p @ x == pytest.approx(1.0, abs=1e-12)
 
@@ -149,7 +149,7 @@ class TestGoodsMajorKernel:
     def test_layout_is_goods_major_and_contiguous(self):
         m = thousand_buyer_market(9)
         logs = m._scaled_log_valuations
-        assert logs.shape == (m.d_goods, m.n_buyers) and logs.flags.c_contiguous
+        assert logs.shape == (m.d_goods, len(m.budgets)) and logs.flags.c_contiguous
 
     def test_demand_matches_the_buyer_major_formula(self):
         # the buyer-major form this kernel replaced, written out: the GEMV sums
@@ -185,6 +185,15 @@ class TestScheduleCheckedOnce:
         assert UpdateSchedule([[3, 1, 3], (2,)]).rounds == ((1, 3), (2,))
         with pytest.raises(InvalidInput, match="round 1 has an empty update set"):
             UpdateSchedule([[0], []])
+
+    def test_non_integer_index_is_refused_not_truncated(self):
+        for build in (UpdateSchedule.create, UpdateSchedule):
+            with pytest.raises(InvalidInput, match="integers"):
+                build([[0.7, 1.9]])
+        with pytest.raises(InvalidInput, match="integers"):
+            tatonnement_step(near_unit_market(), PriceState.start(np.full(3, 1 / 3)), [0, 1.0])
+        # numpy integers are integers
+        assert UpdateSchedule.create([np.array([2, 0, 2])]).rounds == ((0, 2),)
 
     @pytest.mark.parametrize(
         "bad", [[[0], [1, 50]], [[0], [-1, 2]], [[0], (50, 0)]], ids=["d", "negative", "unsorted"]
@@ -233,7 +242,8 @@ class TestDemandPerRound:
     def test_round_cap_counts(self, monkeypatch):
         m = thousand_buyer_market(8)
         calls = self._counted(monkeypatch)
-        with pytest.raises(NotConverged, match="within max_steps=1 "):
-            equilibrium_prices(m, max_steps=1)
+        monkeypatch.setattr(fisher, "MAX_NEWTON_STEPS", 1)
+        with pytest.raises(NotConverged, match="within MAX_NEWTON_STEPS=1 "):
+            equilibrium_prices(m)
         # the start and one accepted full step
         assert calls == {"spending": 2}

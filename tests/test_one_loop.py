@@ -15,7 +15,7 @@ from augustin_lab.capacity import CapacityProblem, approx_oracle_detailed
 from augustin_lab.divergences import AugustinProblem, ClassicalAugustinProblem
 from augustin_lab.errors import NonFinite
 from augustin_lab.linalg import random_density_ensemble
-from conftest import plain, random_simplex
+from conftest import plain, random_simplex, raw_rows
 
 
 def matrix_problem(alpha):
@@ -64,11 +64,15 @@ def test_resume_from_kept_iterate_is_bit_identical(case, monkeypatch):
     plain(monkeypatch)
     p = RESUME_CASES[case]()
     k = 4
-    full = solve_petz_augustin(p, max_iter=40, keep_iterates=True)
-    rest = solve_petz_augustin(p, full.raw_iterates[k], max_iter=40 - k, keep_iterates=True)
+    with raw_rows(p) as rows:
+        full = solve_petz_augustin(p, max_iter=40)
+    full_rows = rows(full)
+    with raw_rows(p, full_rows[k]) as rows:
+        rest = solve_petz_augustin(p, full_rows[k], max_iter=40 - k)
+    rest_rows = rows(rest)
     assert rest.stop_reason == full.stop_reason
-    assert len(rest.raw_iterates) == len(full.raw_iterates) - k > 2
-    for a, b in zip(full.raw_iterates[k:], rest.raw_iterates):
+    assert len(rest_rows) == len(full_rows) - k > 2
+    for a, b in zip(full_rows[k:], rest_rows):
         assert b.step + k == a.step
         for name in ("matrix", "power", "pairings", "coefficients"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
